@@ -8,7 +8,6 @@ from .errors import (
     DegenerateMeasureError,
     DomainError,
     InstabilityError,
-    NumericalConsistencyError,
     NumericalError,
     OpelabError,
     PreconditionError,

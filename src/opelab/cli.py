@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -87,11 +88,20 @@ class ExperimentConfig:
         eps = [float(e) for e in raw.get("epsilons", [0.1, 0.3])]
         if any(e <= 0 for e in eps):
             raise ConfigurationError("epsilons must be positive")
+        normalization = raw.get("normalization", "n")
+        if normalization != "n":
+            try:
+                norm = float(normalization)
+            except (TypeError, ValueError):
+                norm = math.nan
+            if not (math.isfinite(norm) and norm > 0.0):
+                raise ConfigurationError(
+                    f"normalization must be 'n' or a positive number, got {normalization!r}")
         method = raw.get("method", "hkpv")
         if method not in ("hkpv", "tridiagonal"):
             raise ConfigurationError("method must be 'hkpv' or 'tridiagonal'")
         return cls(experiment, measure, n_grid, statistic, f_spec, replicas,
-                   seed, eps, raw.get("normalization", "n"), method, raw)
+                   seed, eps, normalization, method, raw)
 
 
 def _load_config(path: str) -> ExperimentConfig:

@@ -36,10 +36,6 @@ class NumericalError(OpelabError):
     """An underlying numerical routine failed (eigensolver, determinant)."""
 
 
-class NumericalConsistencyError(OpelabError):
-    """Two representations of the same quantity disagree beyond tolerance."""
-
-
 class ResolutionError(OpelabError):
     """Quadrature refinement cap reached without resolving the integrand."""
 

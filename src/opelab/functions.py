@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .linstat import TestFunction
 
-__all__ = ["REGISTRY", "get", "from_spec", "bounded_suite", "to_spec"]
+__all__ = ["REGISTRY", "get", "from_spec", "bounded_suite"]
 
 
 def _bump(x):
@@ -70,16 +70,16 @@ def from_spec(spec) -> TestFunction:
     if isinstance(spec, str):
         return get(spec)
     if isinstance(spec, dict) and "poly" in spec:
-        return _clipped_poly(spec["poly"])
+        try:
+            coeffs = np.asarray(spec["poly"], dtype=float)
+        except (TypeError, ValueError):
+            coeffs = None
+        if coeffs is None or coeffs.ndim != 1 or coeffs.size == 0 \
+                or not np.all(np.isfinite(coeffs)):
+            raise ConfigurationError(
+                f"poly must be a nonempty list of finite coefficients, got {spec['poly']!r}")
+        return _clipped_poly(coeffs)
     raise ConfigurationError(f"cannot interpret test function spec {spec!r}")
-
-
-def to_spec(f: TestFunction):
-    """Inverse of from_spec for registry members (best effort)."""
-    for key, val in REGISTRY.items():
-        if val is f:
-            return key
-    return f.name
 
 
 def bounded_suite(count: int = 50) -> list[TestFunction]:

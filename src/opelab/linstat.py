@@ -4,26 +4,24 @@ Exact means, variances and the moment generating function are computed by
 quadrature of the kernel identities
 
     E X_f   = int f(x) K_n(x,x) dmu(x)
-    Var X_f = 1/2 iint (f(x)-f(y))^2 K_n(x,y)^2 dmu(x) dmu(y)
+    Var X_f = int f^2 K_n(x,x) dmu(x) - iint f(x) f(y) K_n(x,y)^2 dmu(x) dmu(y)
     E e^{tX_f} = det(1 + (e^{tf}-1) K_n)
 
-with a certified refinement loop standing in for the exact integrals.
+on one doubling ladder of quadrature rules that stops when successive rungs
+agree.  The variance is the two-term form above, computed once; for
+polynomial f the tests check it, and the mean, against the exact
+Jacobi-matrix moments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    NumericalConsistencyError,
-    NumericalError,
-    PreconditionError,
-    ResolutionError,
-)
+from .errors import NumericalError, PreconditionError, ResolutionError
 from .kernel import CDKernel
 
 __all__ = [
@@ -115,14 +113,15 @@ def _cache(kern: CDKernel) -> dict:
 
 
 def _global_rule(kern: CDKernel, m: int):
-    """m-point Gauss rule wrt mu with the sqrt-weight-scaled design S,
-    S[i, j] = sqrt(w_i) p_j(x_i), cached per kernel.  The scaled form keeps
-    every entry O(1) for unbounded weights, where the raw design overflows
-    while the weights underflow."""
+    """m-point Gauss rule wrt mu as (nodes, S) with the sqrt-weight-scaled
+    design S[i, j] = sqrt(w_i) p_j(x_i), cached per kernel.  The scaled form
+    keeps every entry O(1) for unbounded weights, where the raw design
+    overflows while the weights underflow."""
     c = _cache(kern)
     key = ("global", m)
     if key not in c:
-        c[key] = kern.measure.gauss_rule_scaled(m, kern.n)
+        nodes, _, S = kern.measure.gauss_rule_scaled(m, kern.n)
+        c[key] = (nodes, S)
     return c[key]
 
 
@@ -132,7 +131,8 @@ def _window_breakpoints(lo: float, hi: float, extra: Sequence[float]) -> np.ndar
 
 
 def _window_rule(kern: CDKernel, lo: float, hi: float, extra: Sequence[float], npanels: int):
-    """Composite Gauss-Legendre rule on [lo, hi] with panels split at breakpoints."""
+    """Composite Gauss-Legendre rule on [lo, hi] with panels split at
+    breakpoints, as (nodes, S) with S the sqrt-weight-scaled design."""
     c = _cache(kern)
     key = ("window", round(lo, 15), round(hi, 15), tuple(extra), npanels)
     if key in c:
@@ -150,9 +150,8 @@ def _window_rule(kern: CDKernel, lo: float, hi: float, extra: Sequence[float], n
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = (half[:, None] * gw[None, :]).ravel() * kern.measure.weight(nodes)
     S = np.sqrt(weights)[:, None] * kern.design(nodes)
-    out = (nodes, weights, S)
-    c[key] = out
-    return out
+    c[key] = (nodes, S)
+    return c[key]
 
 
 def _window_for(kern: CDKernel, f: TestFunction):
@@ -180,20 +179,36 @@ def _window_panels(kern: CDKernel, win: tuple[float, float], level: int) -> int:
 
 def _refine(values: Callable, start: int, cap: int):
     """Evaluate values(size) on a doubling ladder until successive agreement."""
-    size = start
-    prev = None
+    size, prev = start, None
     while True:
         val = values(size)
-        if prev is not None:
-            ref = np.atleast_1d(val)
-            diff = np.max(np.abs(ref - np.atleast_1d(prev)) / (1.0 + np.abs(ref)))
-            if diff <= _REFINE_RTOL or size >= cap:
-                return val
-        elif size >= cap:
+        if size >= cap:
             return val
-        prev = val
-        size = min(2 * size, cap) if size < cap else cap
-    # unreachable
+        if prev is not None and abs(val - prev) / (1.0 + abs(val)) <= _REFINE_RTOL:
+            return val
+        prev, size = val, min(2 * size, cap)
+
+
+def _ladder(kern: CDKernel, f: TestFunction, m: int | None, value: Callable):
+    """value(nodes, S) on the quadrature rule for f: panels on f's window if
+    _window_for finds one, else the mu-Gauss rule.  Its size is m (the base
+    panel count on a window) when m is given; otherwise the rule is refined
+    until successive rungs agree."""
+    n = kern.n
+    if m is not None and m < n:
+        raise PreconditionError(f"quadrature size m={m} below kernel rank n={n}")
+    win = _window_for(kern, f)
+
+    def rung(size):
+        if win is None:
+            return value(*_global_rule(kern, size))
+        return value(*_window_rule(kern, win[0], win[1], f.discontinuities, size))
+
+    if m is not None:
+        return rung(m if win is None else _window_panels(kern, win, 0))
+    if win is None:
+        return _refine(rung, 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE)
+    return _refine(rung, _window_panels(kern, win, 0), _window_panels(kern, win, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -202,80 +217,31 @@ def _refine(values: Callable, start: int, cap: int):
 
 def exact_mean(kern: CDKernel, f: TestFunction, m: int | None = None) -> float:
     """E X_f = int f(x) K_n(x,x) dmu(x) by quadrature."""
-    n = kern.n
-    if m is not None and m < n:
-        raise PreconditionError(f"quadrature size m={m} below kernel rank n={n}")
-    win = _window_for(kern, f)
 
-    def value(size):
-        if win is None:
-            nodes, _, S = _global_rule(kern, size)
-        else:
-            nodes, _, S = _window_rule(kern, win[0], win[1], f.discontinuities, size)
+    def value(nodes, S):
         # sum_i w_i f(x_i) K(x_i, x_i) with the weight folded into S
         return float(np.sum(f(nodes) * np.einsum("ij,ij->i", S, S)))
 
-    if m is not None:
-        return value(m if win is None else _window_panels(kern, win, 0))
-    if win is None:
-        return _refine(value, 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE)
-    return _refine(value, _window_panels(kern, win, 0), _window_panels(kern, win, 4))
-
-
-def _variance_forms(kern: CDKernel, f: TestFunction, size: int, win):
-    """(symmetrized double-integral form, two-term form) on one node ladder rung.
-
-    Both expand into Tr-type sums: the cross term iint f f K^2 is ||F||_F^2
-    with F_{jk} = int f p_j p_k dmu, which keeps memory at O(size * n) instead
-    of a size x size kernel matrix.  The routes differ in the diagonal factor:
-    the symmetrized form integrates int K(x,y)^2 dmu(y) honestly, the two-term
-    form uses K(x,x); agreement exercises the reproducing property.
-    """
-    n = kern.n
-    if win is None:
-        nodes, _, S = _global_rule(kern, size)
-        S_in = S
-    else:
-        nodes, _, S = _window_rule(kern, win[0], win[1], f.discontinuities, size)
-        _, _, S_in = _global_rule(kern, max(n, 64))
-    fv = f(nodes)
-    F = S.T @ (fv[:, None] * S)
-    cross = float(np.sum(F * F))
-    # w_i K(x_i, x_i) = sum_j S_ij^2
-    kdiag_w = np.einsum("ij,ij->i", S, S)
-    two = float(np.sum(fv * fv * kdiag_w) - cross)
-    # w_i int K(x_i,y)^2 dmu(y) via the inner Gauss Gram R = S_in^T S_in
-    # (exact for the polynomial integrand when the rule has >= n nodes)
-    R = S_in.T @ S_in
-    reproduced_w = np.einsum("ij,jk,ik->i", S, R, S)
-    double = float(np.sum(fv * fv * reproduced_w) - cross)
-    return double, two
+    return _ladder(kern, f, m, value)
 
 
 def exact_variance(kern: CDKernel, f: TestFunction, m: int | None = None) -> float:
-    """Var X_f by the symmetrized double integral, cross-checked against the
-    two-term representation (disagreement raises NumericalConsistencyError)."""
-    n = kern.n
-    if m is not None and m < n:
-        raise PreconditionError(f"quadrature size m={m} below kernel rank n={n}")
-    win = _window_for(kern, f)
+    """Var X_f by the two-term form int f^2 K_n(x,x) dmu - ||F||_F^2.
 
-    def value(size):
-        return np.array(_variance_forms(kern, f, size, win))
+    F_{jk} = int f p_j p_k dmu is the compression of f to the first n
+    polynomials, so the cross term iint f(x) f(y) K_n(x,y)^2 costs
+    O(size * n^2) with no size x size kernel matrix.  The ladder stops when
+    successive rungs agree; tests check the result against the Jacobi-matrix
+    moments of polynomial f.
+    """
 
-    if m is not None:
-        pair = value(m if win is None else _window_panels(kern, win, 0))
-    elif win is None:
-        pair = _refine(value, 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE)
-    else:
-        pair = _refine(value, _window_panels(kern, win, 0), _window_panels(kern, win, 4))
-    double, two = float(pair[0]), float(pair[1])
-    scale = 1.0 + abs(double)
-    if abs(double - two) > 1e-8 * scale:
-        raise NumericalConsistencyError(
-            f"variance representations disagree: double={double!r}, two-term={two!r}"
-        )
-    return double
+    def value(nodes, S):
+        fv = f(nodes)
+        F = S.T @ (fv[:, None] * S)
+        # w_i K(x_i, x_i) = sum_j S_ij^2
+        return float(np.sum(fv * fv * np.einsum("ij,ij->i", S, S)) - np.sum(F * F))
+
+    return _ladder(kern, f, m, value)
 
 
 def exact_scaled_variance(kern: CDKernel, s: ScaledStatistic, m: int | None = None) -> float:
@@ -287,35 +253,18 @@ def exact_scaled_variance(kern: CDKernel, s: ScaledStatistic, m: int | None = No
     return exact_variance(kern, ft, m)
 
 
-def _log_mgf_matrix(kern: CDKernel, f: TestFunction, t: float, size: int, win) -> float:
-    n = kern.n
-    if win is None:
-        nodes, _, S = _global_rule(kern, size)
-    else:
-        nodes, _, S = _window_rule(kern, win[0], win[1], f.discontinuities, size)
-    phi = np.expm1(t * f(nodes))
-    M = np.eye(n) + S.T @ (phi[:, None] * S)
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0.0:
-        raise NumericalError("MGF matrix lost positive-definiteness")
-    return float(logdet)
-
-
 def log_mgf(kern: CDKernel, f: TestFunction, t: float, m: int | None = None) -> float:
     """log E[e^{t X_f}] = log det(1 + (e^{tf}-1) K_n), via a pivoted factorization."""
-    n = kern.n
-    if m is not None and m < n:
-        raise PreconditionError(f"quadrature size m={m} below kernel rank n={n}")
-    win = _window_for(kern, f)
 
-    def value(size):
-        return _log_mgf_matrix(kern, f, t, size, win)
+    def value(nodes, S):
+        phi = np.expm1(t * f(nodes))
+        M = np.eye(kern.n) + S.T @ (phi[:, None] * S)
+        sign, logdet = np.linalg.slogdet(M)
+        if sign <= 0.0:
+            raise NumericalError("MGF matrix lost positive-definiteness")
+        return float(logdet)
 
-    if m is not None:
-        return value(m if win is None else _window_panels(kern, win, 0))
-    if win is None:
-        return _refine(value, 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE)
-    return _refine(value, _window_panels(kern, win, 0), _window_panels(kern, win, 4))
+    return _ladder(kern, f, m, value)
 
 
 def mgf(kern: CDKernel, f: TestFunction, t: float, m: int | None = None) -> float:

@@ -33,17 +33,14 @@ __all__ = [
     "legendre",
     "jacobi",
     "varying_gaussian",
-    "varying_gaussian_measure",
     "discretized",
     "register_weight",
     "classical_recurrence",
     "stieltjes_recurrence",
-    "eval_orthonormal",
     "orthonormal_prefix",
     "design_matrix",
     "gauss_quadrature",
     "gauss_quadrature_scaled",
-    "leading_ratio",
 ]
 
 
@@ -70,11 +67,6 @@ class RecurrenceCoefficients:
     @property
     def depth(self) -> int:
         return len(self.diag)
-
-
-def eval_orthonormal(coeffs: RecurrenceCoefficients, k: int, x) -> np.ndarray | float:
-    """Value of the orthonormal polynomial p_k at x (forward recurrence)."""
-    return orthonormal_prefix(coeffs, k, x)[k]
 
 
 def orthonormal_prefix(coeffs: RecurrenceCoefficients, k: int, x) -> np.ndarray:
@@ -147,13 +139,6 @@ def gauss_quadrature_scaled(coeffs: RecurrenceCoefficients, m: int, ncols: int):
     weights = vecs[0, :] ** 2
     S = (vecs[:ncols, :] * sign[None, :]).T
     return vals, weights, S
-
-
-def leading_ratio(coeffs: RecurrenceCoefficients, n: int) -> float:
-    """The Christoffel-Darboux prefactor gamma_{n-1}/gamma_n, which equals b_n."""
-    if n < 1 or n > coeffs.depth:
-        raise PreconditionError(f"need 1 <= n <= depth, got n={n}")
-    return float(coeffs.offdiag[n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +402,29 @@ class Measure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measure":
-        family = obj["family"]
+        family = obj.get("family")
         params = obj.get("params", {})
-        if family == "chebyshev1st":
-            return chebyshev()
-        if family == "legendre":
-            return legendre()
-        if family == "jacobi":
-            return jacobi(params["a_exp"], params["b_exp"])
-        if family == "varying_gaussian":
-            return varying_gaussian(int(params["n"]))
-        if family == "discretized":
-            return discretized(
-                params["weight_key"],
-                tuple(params["support"]),
-                grid=int(params.get("grid", 1000)),
-                scale=float(params.get("scale", 1.0)),
-            )
+        try:
+            if family == "chebyshev1st":
+                return chebyshev()
+            if family == "legendre":
+                return legendre()
+            if family == "jacobi":
+                return jacobi(float(params["a_exp"]), float(params["b_exp"]))
+            if family == "varying_gaussian":
+                return varying_gaussian(int(params["n"]))
+            if family == "discretized":
+                return discretized(
+                    params["weight_key"],
+                    tuple(params["support"]),
+                    grid=int(params.get("grid", 1000)),
+                    scale=float(params.get("scale", 1.0)),
+                )
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"family {family!r} needs parameter {exc.args[0]!r}") from None
+        except (TypeError, ValueError, PreconditionError) as exc:
+            raise ConfigurationError(f"bad parameters for family {family!r}: {exc}") from None
         raise ConfigurationError(f"unknown family {family!r}")
 
 
@@ -449,6 +440,8 @@ def legendre() -> Measure:
 
 def jacobi(a_exp: float, b_exp: float) -> Measure:
     """Normalized Jacobi weight (1-x)^a (1+x)^b on [-1, 1]."""
+    if not (a_exp > -1.0 and b_exp > -1.0):
+        raise ConfigurationError(f"Jacobi exponents must exceed -1, got ({a_exp}, {b_exp})")
     return Measure("jacobi", {"a_exp": float(a_exp), "b_exp": float(b_exp)}, (-1.0, 1.0))
 
 
@@ -457,11 +450,6 @@ def varying_gaussian(n: int) -> Measure:
     if n < 1:
         raise PreconditionError("n must be >= 1")
     return Measure("varying_gaussian", {"n": int(n)}, (-math.inf, math.inf))
-
-
-def varying_gaussian_measure(n: int) -> Measure:
-    """Alias kept for symmetry with the classical constructors."""
-    return varying_gaussian(n)
 
 
 def discretized(

@@ -41,8 +41,8 @@ _PROPOSAL_CAP = 1_000_000
 _ENVELOPE_CELLS = 4096
 _ENVELOPE_PAD = 1.05
 
-# Off-diagonal scale of the tridiagonal Gaussian model.  Calibrated once
-# against the exact second-moment statistic at small n, then frozen.
+# Off-diagonal scale of the tridiagonal Gaussian model: the beta = 2 case of
+# Dumitriu-Edelman's chi_{beta k} / sqrt(2) entries (J. Math. Phys. 2002).
 _TRIDIAG_OFFDIAG_SCALE = 1.0 / math.sqrt(2.0)
 
 
@@ -167,7 +167,7 @@ class _MarginalEnvelope:
         sub = 17
         t = (np.arange(sub) + 0.5) / sub
         u = (edges[:-1, None] + np.diff(edges)[:, None] * t[None, :]).ravel()
-        dens = self._density(u).reshape(_ENVELOPE_CELLS, sub)
+        dens = self._density(u)[2].reshape(_ENVELOPE_CELLS, sub)
         self.heights = _ENVELOPE_PAD * dens.max(axis=1)
         cellmass = self.heights * np.diff(edges)
         self.total = float(np.sum(cellmass))
@@ -178,14 +178,14 @@ class _MarginalEnvelope:
             return self.mid + self.half * np.cos(u)
         return u
 
-    def _density(self, u: np.ndarray) -> np.ndarray:
-        """Marginal density of x, expressed in the u coordinate (with Jacobian)."""
+    def _density(self, u: np.ndarray):
+        """(x, design at x, marginal density of x in the u coordinate with Jacobian)."""
         x = self._to_x(u)
         P = self.kern.design(x)
         kdiag = np.einsum("ij,ij->i", P, P)
         w = self.kern.measure.weight(x)
         jac = self.half * np.sin(u) if self.compact else 1.0
-        return kdiag * w * jac
+        return x, P, kdiag * w * jac
 
     def propose(self, gen: np.random.Generator, size: int):
         """Draw u from the normalized step density; return (x, design, height@u)."""
@@ -193,18 +193,10 @@ class _MarginalEnvelope:
         cell = np.searchsorted(self.cum, r)
         frac = gen.random(size)
         u = self.edges[cell] + frac * (self.edges[cell + 1] - self.edges[cell])
-        x = self._to_x(u)
-        P = self.kern.design(x)
-        dens = self._density_from_design(u, x, P)
+        x, P, dens = self._density(u)
         if np.any(dens > self.heights[cell] * (1.0 + 1e-12)):
             raise NumericalError("proposal majorant breached; envelope grid too coarse")
         return x, P, self.heights[cell], dens
-
-    def _density_from_design(self, u, x, P):
-        kdiag = np.einsum("ij,ij->i", P, P)
-        w = self.kern.measure.weight(x)
-        jac = self.half * np.sin(u) if self.compact else 1.0
-        return kdiag * w * jac
 
 
 def _envelope(kern: CDKernel) -> _MarginalEnvelope:

@@ -78,6 +78,22 @@ class TestMainEntry:
         path = write_config(tmp_path, {"experiment": "stats", "n_grid": [3, 2]})
         assert cli.main(["validate", "--config", path]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"experiment": "bounds", "normalization": "abc"},
+        {"measure": {"family": "jacobi", "params": {"b_exp": 0.5}}},
+        {"measure": {"family": "jacobi", "params": {"a_exp": -1.5, "b_exp": 0.5}}},
+        {"statistic": {"f": {"poly": "x"}}},
+        {"measure": {"family": "varying_gaussian", "params": {"n": 0}}},
+    ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
+            "varying_gaussian_n_0"])
+    def test_bad_config_exits_2_up_front(self, tmp_path, change):
+        payload = dict(BASE, **change)
+        path = write_config(tmp_path, payload)
+        assert cli.main(["validate", "--config", path]) == 2
+        assert cli.main([payload["experiment"], "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 

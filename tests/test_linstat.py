@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,20 @@ ONE = TestFunction(lambda x: np.ones_like(x), sup_norm=1.0, name="one")
 IDENTITY = functions.get("identity")
 SQUARE = functions.get("square")
 BUMP = functions.get("smooth_bump")
+
+
+_ORACLE_FAMILIES = {
+    "chebyshev": lambda n: measures.chebyshev(),
+    "legendre": lambda n: measures.legendre(),
+    "varying_gaussian": measures.varying_gaussian,
+    "jacobi(20,0.5)": lambda n: measures.jacobi(20.0, 0.5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_kernel(family, n):
+    """One kernel per (family, n), so its Gauss rules are built once."""
+    return CDKernel(_ORACLE_FAMILIES[family](n), n)
 
 
 def _config(points):
@@ -116,15 +131,26 @@ class TestExactVariance:
         for f in functions.bounded_suite(8):
             assert exact_variance(kern, f) <= 2 * 12 * f.sup_norm ** 2
 
-    @given(coeffs=st.lists(st.floats(-1, 1), min_size=2, max_size=4))
-    @settings(max_examples=15, deadline=None)
-    def test_representation_agreement_polynomials(self, coeffs):
-        """The double-integral and two-term variance forms agree (checked
-        internally; disagreement would raise NumericalConsistencyError)."""
-        ev = lambda x: np.polynomial.polynomial.polyval(x, np.array(coeffs))
-        f = TestFunction(ev, sup_norm=float(np.sum(np.abs(coeffs))) + 1.0)
-        var = exact_variance(CDKernel(measures.chebyshev(), 6), f)
-        assert var >= -1e-12
+    @given(family=st.sampled_from(sorted(_ORACLE_FAMILIES)),
+           n=st.sampled_from([5, 50, 200]),
+           coeffs=st.lists(st.floats(-1, 1), min_size=2, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_representation_agreement_polynomials(self, family, n, coeffs):
+        """The quadrature moments of a raw polynomial f agree with its
+        Jacobi-matrix moments: with F = f(J) for J truncated at n + deg f,
+        E X_f = Tr F[:n,:n] and Var X_f = sum_{j<n<=l} F_jl^2."""
+        c = np.array(coeffs)
+        f = TestFunction(lambda x: np.polynomial.polynomial.polyval(x, c),
+                         sup_norm=float(np.sum(np.abs(c))))
+        kern = _oracle_kernel(family, n)
+        co = kern.measure.recurrence(n + len(c) - 1)
+        J = np.diag(co.diag) + np.diag(co.offdiag[:-1], 1) + np.diag(co.offdiag[:-1], -1)
+        F = np.zeros_like(J)
+        for ck in c[::-1]:  # Horner in the matrix J
+            F = F @ J + ck * np.eye(len(J))
+        assert exact_mean(kern, f) == pytest.approx(np.trace(F[:n, :n]), rel=1e-10, abs=1e-12)
+        assert exact_variance(kern, f) == pytest.approx(
+            np.sum(F[:n, n:] ** 2), rel=1e-10, abs=1e-12)
 
 
 class TestScaledVariance:
