@@ -15,7 +15,7 @@ from .errors import (
     SamplingStallError,
 )
 from .measures import Measure, RecurrenceCoefficients, chebyshev, jacobi, legendre, varying_gaussian
-from .kernel import CDKernel, kernel_cd, kernel_sum, kernel_tilde, scaled_kernel
+from .kernel import CDKernel, kernel_cd, kernel_matrix, kernel_sum, kernel_tilde, scaled_kernel
 from .linstat import (
     ScaledStatistic,
     TestFunction,

@@ -10,9 +10,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .kernel import CDKernel, kernel_sum, kernel_tilde, scaled_kernel
+from .kernel import CDKernel, _sqrt_weight, kernel_matrix, kernel_sum, kernel_tilde
 from .linstat import ScaledStatistic, TestFunction, exact_scaled_variance, scaled_function
-from .measures import Measure, orthonormal_prefix
+from .measures import Measure
 
 __all__ = [
     "EquilibriumDensity",
@@ -170,12 +170,12 @@ def nevai_integral(kern: CDKernel, f: TestFunction, x: float, m: int | None = No
 
 
 def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
-    """Nodes z_i and the map x -> (w_i K_n(x, z_i)^2)_i for a rule (z_i, w_i)
-    of dmu resolving both f and the degree-(2n-2) kernel square.
+    """Nodes z_i and the map x -> (w_i K_n(x_k, z_i)^2)_{k,i} for a rule
+    (z_i, w_i) of dmu resolving both f and the degree-(2n-2) kernel square.
 
     A compactly supported f gets panels restricted to its support.  Otherwise
     the m-point Gauss rule of mu enters through its sqrt-weight-scaled design
-    S[i, j] = sqrt(w_i) p_j(z_i), as (S p(x))^2 with p = (p_0, ..., p_{n-1}):
+    S[i, j] = sqrt(w_i) p_j(z_i), as (P S^T)^2 with P the design at the x_k:
     a tiny raw Gauss weight is accurate only in absolute terms and must never
     meet a huge kernel value.
     """
@@ -183,7 +183,7 @@ def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
         nodes, weights = _restricted_rule(kern, f.support[0], f.support[1])
 
         def square(x):
-            kxy = kernel_sum(kern, x, nodes)
+            kxy = kernel_matrix(kern, x, nodes)
             return weights * kxy * kxy
 
         return nodes, square
@@ -193,7 +193,7 @@ def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
     nodes, _, S = kern.measure.gauss_rule_scaled(size, kern.n)
 
     def square(x):
-        a = S @ orthonormal_prefix(kern.coeffs, kern.n - 1, float(x))
+        a = kern.design(x) @ S.T
         return a * a
 
     return nodes, square
@@ -203,29 +203,23 @@ def alpha_nevai_functional(kern: CDKernel, f: TestFunction, alpha: float, xstar:
                            s_grid: Optional[Sequence[float]] = None,
                            m: int | None = None) -> float:
     """sup_s |int (f(s) - f(n^a(y-x*))) K(x_s,y)^2 / K(x_s,x_s) dmu(y)|,
-    where x_s = x* + s/n^a."""
+    where x_s = x* + s/n^a, all s in one batch; DomainError if an x_s leaves
+    the support."""
     if not (0.0 <= alpha < 1.0):
         raise PreconditionError("alpha must lie in [0, 1)")
-    if s_grid is None:
-        s_grid = _DEFAULT_S_GRID
+    s = np.asarray(_DEFAULT_S_GRID if s_grid is None else s_grid, dtype=float)
     n = kern.n
-    scale = float(n) ** alpha
+    xs = xstar + s / float(n) ** alpha
     lo, hi = kern.measure.support
+    outside = xs[~((lo <= xs) & (xs <= hi))]
+    if outside.size:
+        raise DomainError(f"evaluation point {outside[0]} outside the support")
     ft = scaled_function(ScaledStatistic(f, alpha, xstar), n)
     nodes, square = _nevai_rule(kern, ft, m)
-    fvals = ft(nodes)
-    worst = 0.0
-    for s in s_grid:
-        xs = xstar + s / scale
-        if not (lo <= xs <= hi):
-            raise DomainError(f"evaluation point {xs} outside the support")
-        q = square(xs)
-        kss = float(kernel_sum(kern, xs, xs))
-        mass = float(np.sum(q))
-        term = float(np.sum(fvals * q))
-        val = (float(f(s)) * mass - term) / kss
-        worst = max(worst, abs(val))
-    return worst
+    q = square(xs)
+    p = kern.design(xs)
+    vals = (f(s) * np.sum(q, axis=1) - q @ ft(nodes)) / np.sum(p * p, axis=1)
+    return float(np.max(np.abs(vals), initial=0.0))
 
 
 def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
@@ -238,7 +232,7 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
         return 1.0
     kxx = float(kernel_sum(kern, xstar, xstar))
     nodes, weights = _restricted_rule(kern, xstar - delta, xstar + delta)
-    kxy = kernel_sum(kern, xstar, nodes)
+    kxy = kernel_matrix(kern, xstar, nodes)[0]
     return float(np.sum(weights * kxy * kxy)) / kxx
 
 
@@ -247,15 +241,20 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def universality_error(kern: CDKernel, x: float, box: float = 2.0, grid: int = 41) -> float:
-    """sup over an (a,b) grid in [-box, box]^2 of the deviation of the
-    rescaled bulk kernel from the sine kernel."""
+    """sup over an (a,b) grid in [-box, box]^2 of |scaled_kernel(kern, x, a, b)
+    - sine_kernel(a, b)|, from one kernel_matrix on the rescaled grid points;
+    DomainError, as in scaled_kernel, if one of them leaves the support."""
     pts = np.linspace(-box, box, grid)
-    worst = 0.0
-    for a in pts:
-        for b in pts:
-            err = abs(scaled_kernel(kern, x, float(a), float(b)) - sine_kernel(a, b))
-            worst = max(worst, err)
-    return worst
+    k0 = float(kernel_tilde(kern, x, x))
+    if k0 <= 0.0:
+        raise DomainError(f"weighted kernel vanishes on the diagonal at x={x}")
+    z = x + pts / k0
+    lo, hi = kern.measure.support
+    if not np.all((lo <= z) & (z <= hi)):
+        raise DomainError("rescaled argument left the support of the measure")
+    sw = _sqrt_weight(kern, z)
+    scaled = np.outer(sw, sw) * kernel_matrix(kern, z, z) / k0
+    return float(np.max(np.abs(scaled - np.sinc(pts[None, :] - pts[:, None]))))
 
 
 def totik_error(kern: CDKernel, rho: EquilibriumDensity, interval: tuple[float, float],

@@ -43,6 +43,27 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _number(value, name: str, integer: bool = False):
+    """A finite JSON number (an integral one if integer), else ConfigurationError."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = value.is_integer() if integer else math.isfinite(value)
+    elif ok and not integer:
+        ok = abs(value) <= sys.float_info.max
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _section(raw: dict, key: str, default, kind: type):
+    value = raw.get(key, default)
+    if not isinstance(value, kind):
+        json_kind = "object" if kind is dict else "array"
+        raise ConfigurationError(f"{key} must be a JSON {json_kind}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -66,26 +87,28 @@ class ExperimentConfig:
         if experiment not in _EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {experiment!r}; one of {_EXPERIMENTS}")
-        measure = Measure.from_json(raw.get("measure", {"family": "chebyshev1st"}))
-        n_grid = list(raw.get("n_grid", [10]))
-        if not n_grid or any(int(b) <= int(a) for a, b in zip(n_grid, n_grid[1:])) \
-                or any(int(k) < 1 for k in n_grid):
+        measure = Measure.from_json(_section(raw, "measure", {"family": "chebyshev1st"}, dict))
+        n_grid = [_number(k, "n_grid entry", integer=True)
+                  for k in _section(raw, "n_grid", [10], list)]
+        if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) \
+                or any(k < 1 for k in n_grid):
             raise ConfigurationError("n_grid must be nonempty and strictly increasing")
-        n_grid = [int(k) for k in n_grid]
-        stat_raw = raw.get("statistic", {"f": "identity", "alpha": 0.0, "xstar": 0.0})
+        stat_raw = _section(raw, "statistic",
+                            {"f": "identity", "alpha": 0.0, "xstar": 0.0}, dict)
         f_spec = stat_raw.get("f", "identity")
         f = from_spec(f_spec)
-        alpha = float(stat_raw.get("alpha", 0.0))
+        alpha = _number(stat_raw.get("alpha", 0.0), "statistic.alpha")
         if not (0.0 <= alpha < 1.0):
             raise ConfigurationError("statistic.alpha must lie in [0, 1)")
-        statistic = ScaledStatistic(f, alpha, float(stat_raw.get("xstar", 0.0)))
-        replicas = int(raw.get("replicas", 1))
+        statistic = ScaledStatistic(f, alpha,
+                                    _number(stat_raw.get("xstar", 0.0), "statistic.xstar"))
+        replicas = _number(raw.get("replicas", 1), "replicas", integer=True)
         if replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
-        seed = int(raw.get("seed", 0))
+        seed = _number(raw.get("seed", 0), "seed", integer=True)
         if not (0 <= seed < 2**64):
             raise ConfigurationError("seed must be u64")
-        eps = [float(e) for e in raw.get("epsilons", [0.1, 0.3])]
+        eps = [_number(e, "epsilons entry") for e in _section(raw, "epsilons", [0.1, 0.3], list)]
         if any(e <= 0 for e in eps):
             raise ConfigurationError("epsilons must be positive")
         normalization = raw.get("normalization", "n")

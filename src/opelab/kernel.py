@@ -13,6 +13,7 @@ from .measures import Measure, RecurrenceCoefficients, design_matrix, orthonorma
 __all__ = [
     "CDKernel",
     "kernel_sum",
+    "kernel_matrix",
     "kernel_cd",
     "kernel_tilde",
     "scaled_kernel",
@@ -49,6 +50,15 @@ def kernel_sum(kern: CDKernel, x, y) -> np.ndarray | float:
     py = orthonormal_prefix(kern.coeffs, kern.n - 1, yb)
     val = np.sum(px * py, axis=0)
     return float(val) if val.ndim == 0 else val
+
+
+def kernel_matrix(kern: CDKernel, x, y) -> np.ndarray:
+    """K_n(x_i, y_j) for every pair, as design(x) @ design(y)^T.
+
+    Runs the recurrence once per point of x and of y, where kernel_sum on
+    broadcast arguments runs it once per pair.  Scalars count as one point.
+    """
+    return kern.design(x) @ kern.design(y).T
 
 
 def kernel_cd(kern: CDKernel, x: float, y: float) -> float:

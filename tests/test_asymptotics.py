@@ -8,7 +8,7 @@ from scipy import integrate
 
 from opelab import asymptotics, functions, measures
 from opelab.errors import DomainError, PreconditionError
-from opelab.kernel import CDKernel, kernel_sum, kernel_tilde, reproducing_residual
+from opelab.kernel import CDKernel, kernel_sum, kernel_tilde, reproducing_residual, scaled_kernel
 from opelab.linstat import TestFunction
 
 BUMP = functions.get("smooth_bump")
@@ -136,10 +136,13 @@ class TestAlphaNevai:
             asymptotics.alpha_nevai_functional(kern, BUMP, 0.1, 0.9, s_grid=[2.0])
 
     def test_global_path_matches_jacobi_closed_form(self):
-        # alpha = 0, s = 0: |int (0 - (y - x*)^2) K(x*,y)^2 / K(x*,x*) dmu(y)|
+        # alpha = 0, x_s = x* + s: the value at s is
+        # -int ((y - x*)^2 - (x_s - x*)^2) K(x_s,y)^2 / K(x_s,x_s) dmu(y)
         kern = CDKernel(measures.varying_gaussian(16), 50)
-        got = asymptotics.alpha_nevai_functional(kern, SQUARE, 0.0, 0.5, s_grid=[0.0])
-        assert got == pytest.approx(_square_nevai_closed_form(kern, 0.5), abs=1e-12)
+        s_grid = [-0.4, -0.2, 0.0, 0.2, 0.4]
+        got = asymptotics.alpha_nevai_functional(kern, SQUARE, 0.0, 0.5, s_grid=s_grid)
+        want = max(abs(_square_nevai_closed_form(kern, 0.5 + s, c=0.5)) for s in s_grid)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestConcentrationMass:
@@ -175,6 +178,26 @@ class TestConcentrationMass:
 
 
 class TestUniversality:
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    @pytest.mark.parametrize("family", ["chebyshev", "legendre", "jacobi(20,0.5)",
+                                        "varying_gaussian(n)"])
+    def test_matches_scalar_double_loop(self, family, n):
+        mu = (measures.varying_gaussian(n) if family == "varying_gaussian(n)"
+              else FAMILIES[family]())
+        kern = CDKernel(mu, n)
+        zeros, _ = mu.gauss_rule(n)
+        x = 0.5 * (zeros[n // 2 - 1] + zeros[n // 2])  # bulk point between central zeros
+        pts = np.linspace(-0.5, 0.5, 11)
+        want = max(abs(scaled_kernel(kern, x, a, b) - asymptotics.sine_kernel(a, b))
+                   for a in pts for b in pts)
+        got = asymptotics.universality_error(kern, x, box=0.5, grid=11)
+        assert got == pytest.approx(want, abs=1e-13)
+
+    def test_rescaled_grid_outside_support(self):
+        kern = CDKernel(measures.chebyshev(), 5)
+        with pytest.raises(DomainError, match="left the support"):
+            asymptotics.universality_error(kern, 0.95)
+
     def test_degenerate_box(self):
         kern = CDKernel(measures.chebyshev(), 30)
         assert asymptotics.universality_error(kern, 0.0, box=0.0, grid=1) == pytest.approx(

@@ -84,8 +84,16 @@ class TestMainEntry:
         {"measure": {"family": "jacobi", "params": {"a_exp": -1.5, "b_exp": 0.5}}},
         {"statistic": {"f": {"poly": "x"}}},
         {"measure": {"family": "varying_gaussian", "params": {"n": 0}}},
+        {"measure": "chebyshev1st"},
+        {"statistic": "identity"},
+        {"n_grid": ["a"]},
+        {"n_grid": [2.5, 3]},
+        {"epsilons": "abc"},
+        {"replicas": "x"},
     ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
-            "varying_gaussian_n_0"])
+            "varying_gaussian_n_0", "measure_not_object", "statistic_not_object",
+            "n_grid_not_numbers", "n_grid_not_integers", "epsilons_not_list",
+            "replicas_not_number"])
     def test_bad_config_exits_2_up_front(self, tmp_path, change):
         payload = dict(BASE, **change)
         path = write_config(tmp_path, payload)
