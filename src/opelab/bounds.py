@@ -34,6 +34,7 @@ __all__ = [
     "lemma32_check",
     "wilson_interval",
     "tail_probability_mc",
+    "tail_probabilities_mc",
 ]
 
 GAUSSIAN = "Gaussian"
@@ -259,25 +260,35 @@ def tail_probability_mc(kern: CDKernel, f: TestFunction, eps: float,
     Returns a dict with the empirical frequency, Wilson 95% interval, the
     analytic BoundReport, and whether the upper confidence limit is dominated.
     """
+    return tail_probabilities_mc(kern, f, [eps], replicas, rng, normalization)[0]
+
+
+def tail_probabilities_mc(kern: CDKernel, f: TestFunction, epsilons,
+                          replicas: int, rng, normalization: float) -> list:
+    """tail_probability_mc for each eps in turn, all on one batch of replicas."""
     from .sampler import sample_ope_batch
 
     if replicas < 1000:
         raise PreconditionError("need at least 10^3 replicas")
-    _check_positive(eps=eps, normalization=normalization)
+    for eps in epsilons:
+        _check_positive(eps=eps, normalization=normalization)
     mean = exact_mean(kern, f)
     samples = sample_ope_batch(kern, rng, replicas)
-    stats = np.sum(f(samples), axis=1)
-    exceed = int(np.sum(np.abs(stats - mean) / normalization >= eps))
-    lo, hi = wilson_interval(exceed, replicas)
+    dev = np.abs(np.sum(f(samples), axis=1) - mean) / normalization
     n = kern.n
-    if abs(normalization - n) <= 1e-12 * n:
-        report = bound_global(n, f.sup_norm, eps)
-    else:
-        report = bound_normalized(n, normalization, f.sup_norm, eps)
-    return {
-        "empirical": exceed / replicas,
-        "wilson": (lo, hi),
-        "bound": report,
-        "dominated": bool(hi <= report.rhs),
-        "replicas": replicas,
-    }
+    results = []
+    for eps in epsilons:
+        exceed = int(np.sum(dev >= eps))
+        lo, hi = wilson_interval(exceed, replicas)
+        if abs(normalization - n) <= 1e-12 * n:
+            report = bound_global(n, f.sup_norm, eps)
+        else:
+            report = bound_normalized(n, normalization, f.sup_norm, eps)
+        results.append({
+            "empirical": exceed / replicas,
+            "wilson": (lo, hi),
+            "bound": report,
+            "dominated": bool(hi <= report.rhs),
+            "replicas": replicas,
+        })
+    return results

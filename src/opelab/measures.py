@@ -11,6 +11,7 @@ is a probability measure; discretized measures are normalized at construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +43,19 @@ __all__ = [
     "gauss_quadrature",
     "gauss_quadrature_scaled",
 ]
+
+
+def config_number(value, name: str, integer: bool = False):
+    """A finite JSON number (an integral one if integer), else ConfigurationError."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = value.is_integer() if integer else math.isfinite(value)
+    elif ok and not integer:
+        ok = abs(value) <= sys.float_info.max
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -410,15 +424,16 @@ class Measure:
             if family == "legendre":
                 return legendre()
             if family == "jacobi":
-                return jacobi(float(params["a_exp"]), float(params["b_exp"]))
+                return jacobi(config_number(params["a_exp"], "params.a_exp"),
+                              config_number(params["b_exp"], "params.b_exp"))
             if family == "varying_gaussian":
-                return varying_gaussian(int(params["n"]))
+                return varying_gaussian(config_number(params["n"], "params.n", integer=True))
             if family == "discretized":
                 return discretized(
                     params["weight_key"],
                     tuple(params["support"]),
-                    grid=int(params.get("grid", 1000)),
-                    scale=float(params.get("scale", 1.0)),
+                    grid=config_number(params.get("grid", 1000), "params.grid", integer=True),
+                    scale=config_number(params.get("scale", 1.0), "params.scale"),
                 )
         except KeyError as exc:
             raise ConfigurationError(

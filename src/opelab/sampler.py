@@ -7,7 +7,9 @@ majorant of the one-point marginal K_n(x,x) w(x)/n, built in a coordinate in
 which the density is bounded (theta = arccos x on compact supports, a
 truncated standardized coordinate on the line); the majorant dominates the
 target on every cell by construction and this is re-asserted at run time, so
-accepted draws follow the conditional law exactly.
+accepted draws follow the conditional law exactly.  Each replica draws one
+i.i.d. proposal pool, with the residual kernel diagonal of every entry kept
+current, and the n sequential steps use it up in order.
 
 A tridiagonal random-matrix model provides an independent sampler for the
 varying Gaussian weight, used as a cross-validation oracle.
@@ -34,12 +36,18 @@ __all__ = [
     "sample_ope_batch",
     "sample_reference",
     "sample_gue_tridiagonal",
+    "check_sampleable",
     "export_samples",
 ]
 
 _PROPOSAL_CAP = 1_000_000
 _ENVELOPE_CELLS = 4096
 _ENVELOPE_PAD = 1.05
+# Design entries (points x rank) evaluated at once: caps a proposal pool and
+# each chunk of the envelope build.
+_POOL_DOUBLES = 1_000_000
+# A pool holds this multiple of the expected tries still to come.
+_POOL_HEADROOM = 1.2
 
 # Off-diagonal scale of the tridiagonal Gaussian model: the beta = 2 case of
 # Dumitriu-Edelman's chi_{beta k} / sqrt(2) entries (J. Math. Phys. 2002).
@@ -132,6 +140,29 @@ def sample_reference(measure: Measure, rng: RngStream) -> float:
 # Step-majorant proposal for the one-point marginal
 # ---------------------------------------------------------------------------
 
+def check_sampleable(measure: Measure, method: str = "hkpv") -> None:
+    """ConfigurationError unless `method` can sample the ensemble of `measure`.
+
+    HKPV needs a bounded marginal density in its proposal coordinate: on
+    compact supports theta = arccos x turns a Jacobi endpoint factor
+    (1 -+ x)^e into theta^(2e+1), unbounded for e < -1/2; on the line only
+    the varying Gaussian weight has a proposal coordinate.  The tridiagonal
+    model exists only for the varying Gaussian weight.
+    """
+    fam = measure.family
+    if method == "tridiagonal":
+        if fam != "varying_gaussian":
+            raise ConfigurationError("tridiagonal method requires varying_gaussian")
+        return
+    lo, hi = measure.support
+    if not (math.isfinite(lo) and math.isfinite(hi)) and fam != "varying_gaussian":
+        raise ConfigurationError(f"cannot sample family {fam!r} on unbounded support")
+    if fam == "jacobi" and min(measure.params["a_exp"], measure.params["b_exp"]) < -0.5:
+        raise ConfigurationError(
+            "HKPV needs Jacobi exponents >= -1/2: below that the arccos-coordinate "
+            f"density is unbounded, got {measure.params}")
+
+
 class _MarginalEnvelope:
     """Piecewise-constant majorant of the marginal density in a tame coordinate.
 
@@ -143,19 +174,15 @@ class _MarginalEnvelope:
     """
 
     def __init__(self, kern: CDKernel):
+        check_sampleable(kern.measure)
         self.kern = kern
         n = kern.n
         lo, hi = kern.measure.support
-        if math.isfinite(lo) and math.isfinite(hi):
-            self.compact = True
+        self.compact = math.isfinite(lo) and math.isfinite(hi)
+        if self.compact:
             self.half, self.mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
             self.u_lo, self.u_hi = 0.0, np.pi
         else:
-            if kern.measure.family != "varying_gaussian":
-                raise ConfigurationError(
-                    f"cannot sample family {kern.measure.family!r} on unbounded support"
-                )
-            self.compact = False
             nn = kern.measure.params["n"]
             # spectral edge at 2*sqrt(n/nn) in x units; pad well past it
             edge = 2.0 * math.sqrt(n / nn)
@@ -163,14 +190,23 @@ class _MarginalEnvelope:
             self.u_lo, self.u_hi = -(edge + pad), edge + pad
         edges = np.linspace(self.u_lo, self.u_hi, _ENVELOPE_CELLS + 1)
         self.edges = edges
-        # estimate the per-cell max of the transformed density on subsamples
+        # estimate the per-cell max of the transformed density on subsamples,
+        # a chunk of cells at a time; overflow is reported below
         sub = 17
         t = (np.arange(sub) + 0.5) / sub
-        u = (edges[:-1, None] + np.diff(edges)[:, None] * t[None, :]).ravel()
-        dens = self._density(u)[2].reshape(_ENVELOPE_CELLS, sub)
-        self.heights = _ENVELOPE_PAD * dens.max(axis=1)
+        u = edges[:-1, None] + np.diff(edges)[:, None] * t[None, :]
+        chunk = max(1, _POOL_DOUBLES // (sub * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = np.concatenate([
+                self._density(u[c:c + chunk].ravel())[2].reshape(-1, sub).max(axis=1)
+                for c in range(0, _ENVELOPE_CELLS, chunk)])
+        self.heights = _ENVELOPE_PAD * peak
         cellmass = self.heights * np.diff(edges)
         self.total = float(np.sum(cellmass))
+        if not (math.isfinite(self.total) and np.all(np.isfinite(self.heights))):
+            raise NumericalError(
+                f"non-finite proposal envelope at rank {n}: the forward recurrence "
+                "p_j(x) overflows where the weight underflows")
         self.cum = np.cumsum(cellmass) / self.total
 
     def _to_x(self, u: np.ndarray) -> np.ndarray:
@@ -212,51 +248,64 @@ def _envelope(kern: CDKernel) -> _MarginalEnvelope:
 # ---------------------------------------------------------------------------
 
 def _sample_one(kern: CDKernel, env: _MarginalEnvelope, gen: np.random.Generator) -> np.ndarray:
-    """One n-point configuration by sequential conditionals."""
+    """One n-point configuration by sequential conditionals on a shared pool.
+
+    A pool entry is a proposal x from the envelope, its design row, its
+    envelope height, one acceptance uniform and its residual kernel diagonal
+    kres(x) = K(x,x) - sum_{l<i} (P(x) . b_l)^2 over the sections b_l chosen
+    so far.  Step i accepts the first unused entry whose uniform falls below
+    (residual density)/(majorant) and moves the cursor past it.  Which entry
+    step i takes depends only on the entries up to it, so the entries after
+    it are still i.i.d. draws from the envelope, independent of everything
+    accepted so far, and step i+1 may use them.  An empty pool is refilled
+    with one envelope draw sized to the expected tries still to come.
+    """
     n = kern.n
     basis = np.empty((n, n))  # orthonormal coefficient vectors of chosen sections
     points = np.empty(n)
+    cur = end = 0  # entries [cur, end) of the pool are unused
     for i in range(n):
-        remaining = n - i
-        # acceptance rate is ~ remaining/total envelope mass; batch accordingly
-        batch = max(8, int(2.2 * env.total / remaining) + 1)
-        tries = 0
-        accepted = None
-        while accepted is None:
-            if tries >= _PROPOSAL_CAP:
-                raise SamplingStallError(i, tries, {
-                    "n": n, "accepted_points": points[:i].tolist(),
-                    "envelope_mass": env.total,
-                })
-            x, P, height, dens = env.propose(gen, batch)
-            tries += batch
-            # residual kernel diagonal: K(x,x) minus projection onto chosen sections
-            kdiag = np.einsum("ij,ij->i", P, P)
-            if i:
+        tries = 0  # pool entries examined since the last acceptance
+        while True:
+            if cur == end:
+                if tries >= _PROPOSAL_CAP:
+                    raise SamplingStallError(i, tries, {
+                        "n": n, "accepted_points": points[:i].tolist(),
+                        "envelope_mass": env.total,
+                    })
+                # with r points left a try succeeds at rate ~ r/total, so about
+                # total * (1 + 1/2 + ... + 1/r) <= total * (ln r + 1) tries remain
+                size = int(_POOL_HEADROOM * env.total * (math.log(n - i) + 1.0)) + 1
+                size = min(size, max(1, _POOL_DOUBLES // n))
+                x, P, height, dens = env.propose(gen, size)
+                kdiag = np.einsum("ij,ij->i", P, P)
                 proj = P @ basis[:i].T
                 kres = kdiag - np.einsum("ij,ij->i", proj, proj)
-            else:
-                kres = kdiag
-            kres = np.maximum(kres, 0.0)
-            # accept with prob (residual density)/(majorant): exact because the
-            # majorant dominates the full marginal, hence the residual too
-            accept = gen.random(batch) * height < dens * kres / np.maximum(kdiag, 1e-300)
-            idx = np.flatnonzero(accept)
-            if idx.size:
-                j = idx[0]
-                accepted = (x[j], P[j])
-        xi, prow = accepted
-        points[i] = xi
+                # accept with prob (residual density)/(majorant): exact because
+                # the majorant dominates the full marginal, hence the residual too
+                bar = gen.random(size) * height
+                gain = dens / np.maximum(kdiag, 1e-300)
+                cur, end = 0, size
+            hit = bar[cur:] < gain[cur:] * kres[cur:]
+            k = int(hit.argmax())
+            if hit[k]:
+                j = cur + k
+                break
+            tries += end - cur
+            cur = end
+        points[i] = x[j]
         # Gram-Schmidt the new kernel section against the accepted ones,
         # with one re-orthogonalization pass for numerical drift
-        v = prow.copy()
+        v = P[j].copy()
         for _ in range(2):
             if i:
                 v -= basis[:i].T @ (basis[:i] @ v)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v @ v)
         if norm <= 0.0:
             raise NumericalError("degenerate residual section in Gram-Schmidt")
         basis[i] = v / norm
+        cur = j + 1
+        kres[cur:] -= (P[cur:] @ basis[i]) ** 2
     return np.sort(points)
 
 

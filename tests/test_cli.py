@@ -90,10 +90,17 @@ class TestMainEntry:
         {"n_grid": [2.5, 3]},
         {"epsilons": "abc"},
         {"replicas": "x"},
+        {"experiment": "sample", "measure": {"family": "jacobi",
+                                             "params": {"a_exp": -0.8, "b_exp": 0.0}}},
+        {"experiment": "sample", "method": "tridiagonal"},
+        {"measure": {"family": "varying_gaussian", "params": {"n": 2.5}}},
+        {"measure": {"family": "varying_gaussian", "params": {"n": True}}},
     ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
             "varying_gaussian_n_0", "measure_not_object", "statistic_not_object",
             "n_grid_not_numbers", "n_grid_not_integers", "epsilons_not_list",
-            "replicas_not_number"])
+            "replicas_not_number", "sample_jacobi_a_exp_below_-1/2",
+            "tridiagonal_on_chebyshev", "varying_gaussian_n_not_integer",
+            "varying_gaussian_n_bool"])
     def test_bad_config_exits_2_up_front(self, tmp_path, change):
         payload = dict(BASE, **change)
         path = write_config(tmp_path, payload)
@@ -159,6 +166,33 @@ class TestMainEntry:
         path = write_config(tmp_path, payload)
         assert cli.main(["sample", "--config", path, "--out",
                          str(tmp_path / "o")]) == 2
+
+    def test_overflowing_envelope_exits_3_with_json(self, tmp_path, capsys):
+        payload = dict(BASE, experiment="sample", n_grid=[400],
+                       measure={"family": "varying_gaussian", "params": {"n": 400}})
+        path = write_config(tmp_path, payload)
+        assert cli.main(["sample", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericalError"
+        assert "overflows" in err["message"]
+
+    def test_bounds_samples_once_per_n(self, tmp_path, monkeypatch):
+        from opelab import sampler
+        calls = []
+        batch = sampler.sample_ope_batch
+
+        def counted(kern, rng, replicas):
+            calls.append(kern.n)
+            return batch(kern, rng, replicas)
+
+        monkeypatch.setattr(sampler, "sample_ope_batch", counted)
+        payload = dict(BASE, experiment="bounds", n_grid=[3, 4], replicas=1000,
+                       epsilons=[0.1, 0.3, 2.5], statistic={"f": "square"})
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", path, "--out", str(out)]) == 0
+        assert calls == [3, 4]
+        assert len((out / "bounds.csv").read_text().splitlines()) == 1 + 2 * 3
 
     def test_bounds_run_dominated_column(self, tmp_path):
         payload = dict(BASE, experiment="bounds", n_grid=[3], replicas=1000,

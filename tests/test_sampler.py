@@ -3,11 +3,13 @@ import pytest
 from scipy import stats
 
 from opelab import functions, measures
+from opelab.errors import ConfigurationError, NumericalError
 from opelab.kernel import CDKernel, kernel_sum
-from opelab.linstat import exact_mean
+from opelab.linstat import exact_mean, exact_variance
 from opelab.sampler import (
     RngStream,
     SampleConfiguration,
+    check_sampleable,
     export_samples,
     sample_gue_batch,
     sample_gue_tridiagonal,
@@ -131,6 +133,44 @@ class TestOpeSampler:
         for c, p in zip(counts, probs):
             sigma = np.sqrt(total * p * (1 - p))
             assert abs(c - total * p) <= 4 * sigma + 3
+
+    @pytest.mark.parametrize("mu, n", [
+        (measures.chebyshev(), 5),
+        (measures.legendre(), 12),
+        (measures.jacobi(0.5, 0.5), 8),
+        (measures.varying_gaussian(10), 10),
+    ], ids=["chebyshev", "legendre", "jacobi", "varying_gaussian"])
+    def test_square_statistic_moments(self, mu, n):
+        """MC mean (4 SE) and variance (5 SE) of X_{x^2} match the exact
+        moments.  The variance is what a stale pool residual gets wrong: the
+        one-point marginal, and so the mean, survives it."""
+        reps = 4000
+        kern = CDKernel(mu, n)
+        x = np.sum(sample_ope_batch(kern, RngStream(43, 0), reps) ** 2, axis=1)
+        f = functions.get("square")
+        se_mean = np.std(x, ddof=1) / np.sqrt(reps)
+        assert abs(np.mean(x) - exact_mean(kern, f)) <= 4 * se_mean
+        var = np.var(x, ddof=1)
+        se_var = np.sqrt(max(np.mean((x - np.mean(x)) ** 4) - var * var, 0.0) / reps)
+        assert abs(var - exact_variance(kern, f)) <= 5 * se_var
+
+
+class TestSampleability:
+    @pytest.mark.parametrize("a_exp, b_exp", [(-0.8, 0.0), (0.0, -0.95)])
+    def test_singular_jacobi_rejected(self, a_exp, b_exp):
+        kern = CDKernel(measures.jacobi(a_exp, b_exp), 20)
+        with pytest.raises(ConfigurationError, match="-1/2"):
+            sample_ope(kern, RngStream(2, 0))
+
+    def test_boundary_exponent_accepted(self):
+        check_sampleable(measures.jacobi(-0.5, -0.5))
+        s = sample_ope(CDKernel(measures.jacobi(-0.5, 0.0), 6), RngStream(2, 0))
+        assert s.n == 6
+
+    def test_overflowing_envelope_raises_numerical_error(self):
+        kern = CDKernel(measures.varying_gaussian(400), 400)
+        with pytest.raises(NumericalError, match="overflows"):
+            sample_ope(kern, RngStream(1, 0))
 
 
 class TestTridiagonalModel:
