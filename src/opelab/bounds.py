@@ -34,7 +34,6 @@ __all__ = [
     "lemma32_check",
     "wilson_interval",
     "tail_probability_mc",
-    "tail_probabilities_mc",
 ]
 
 GAUSSIAN = "Gaussian"
@@ -253,19 +252,15 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def tail_probability_mc(kern: CDKernel, f: TestFunction, eps: float,
-                        replicas: int, rng, normalization: float):
-    """Empirical P(|X_f - E X_f| / normalization >= eps) vs the matching bound.
+def tail_probability_mc(kern: CDKernel, f: TestFunction, epsilons,
+                        replicas: int, rng, normalization: float) -> list:
+    """Empirical P(|X_f - E X_f| / normalization >= eps) vs the matching bound,
+    for each eps in `epsilons`, all on one batch of replicas.
 
-    Returns a dict with the empirical frequency, Wilson 95% interval, the
-    analytic BoundReport, and whether the upper confidence limit is dominated.
+    Returns one dict per eps with the empirical frequency, Wilson 95%
+    interval, the analytic BoundReport, and whether the upper confidence
+    limit is dominated.
     """
-    return tail_probabilities_mc(kern, f, [eps], replicas, rng, normalization)[0]
-
-
-def tail_probabilities_mc(kern: CDKernel, f: TestFunction, epsilons,
-                          replicas: int, rng, normalization: float) -> list:
-    """tail_probability_mc for each eps in turn, all on one batch of replicas."""
     from .sampler import sample_ope_batch
 
     if replicas < 1000:

@@ -28,7 +28,7 @@ from .asymptotics import (
     totik_error,
     universality_error,
 )
-from .bounds import constant_A, tail_probabilities_mc
+from .bounds import constant_A, tail_probability_mc
 from .errors import ConfigurationError, OpelabError
 from .functions import from_spec
 from .kernel import CDKernel
@@ -178,8 +178,8 @@ def _run_bounds(cfg: ExperimentConfig, out: Path) -> list:
     for n in cfg.n_grid:
         kern = CDKernel(cfg.measure, n)
         norm = float(n) if cfg.normalization == "n" else float(cfg.normalization)
-        results = tail_probabilities_mc(kern, f, cfg.epsilons, max(1000, cfg.replicas),
-                                        RngStream(cfg.seed, 0), norm)
+        results = tail_probability_mc(kern, f, cfg.epsilons, max(1000, cfg.replicas),
+                                      RngStream(cfg.seed, 0), norm)
         for eps, res in zip(cfg.epsilons, results):
             rows.append([n, eps, res["empirical"], res["wilson"][0], res["wilson"][1],
                          res["bound"].rhs, res["bound"].regime, res["dominated"]])

@@ -369,6 +369,26 @@ class Measure:
         with np.errstate(divide="ignore"):
             return np.log(self.weight(xv))
 
+    def theta_density(self, theta) -> np.ndarray:
+        """Density of the measure in theta, where x = mid + half*cos(theta)
+        maps [0, pi] onto a compact support.
+
+        Chebyshev and Jacobi weights are written in sin(theta/2) and
+        cos(theta/2), since 1 -+ x = 2 sin^2(theta/2), 2 cos^2(theta/2): in x,
+        1 - x*x loses all digits as theta nears 0 or pi.
+        """
+        th = np.asarray(theta, dtype=float)
+        if self.family == "chebyshev1st":
+            return np.full(th.shape, 1.0 / math.pi)
+        if self.family == "jacobi":
+            a, b = self.params["a_exp"], self.params["b_exp"]
+            with np.errstate(divide="ignore"):
+                return (np.sin(0.5 * th) ** (2.0 * a + 1.0) * np.cos(0.5 * th) ** (2.0 * b + 1.0)
+                        * math.exp(-betaln(a + 1.0, b + 1.0)))
+        lo, hi = self.support
+        half = 0.5 * (hi - lo)
+        return self.weight(0.5 * (hi + lo) + half * np.cos(th)) * half * np.sin(th)
+
     @property
     def compact(self) -> bool:
         return math.isfinite(self.support[0]) and math.isfinite(self.support[1])

@@ -43,9 +43,12 @@ __all__ = [
 _PROPOSAL_CAP = 1_000_000
 _ENVELOPE_CELLS = 4096
 _ENVELOPE_PAD = 1.05
-# Design entries (points x rank) evaluated at once: caps a proposal pool and
-# each chunk of the envelope build.
+# Design entries (points x rank) in one proposal pool.
 _POOL_DOUBLES = 1_000_000
+# Design entries per chunk of the envelope build: its 4096 x 17 subsample grid
+# holds 70k points, so the unchunked design takes 28 MB at n = 50 and 220 MB
+# at n = 400.
+_ENVELOPE_CHUNK_DOUBLES = 1_000_000
 # A pool holds this multiple of the expected tries still to come.
 _POOL_HEADROOM = 1.2
 
@@ -121,9 +124,8 @@ def _grid_cdf_table(measure: Measure):
     # singularities of Jacobi-type weights
     m = 200_000
     theta = (np.arange(m) + 0.5) * np.pi / m
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    x = mid + half * np.cos(theta)[::-1]
-    dens = measure.weight(x) * half * np.sin(theta)[::-1] * (np.pi / m)
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)[::-1]
+    dens = measure.theta_density(theta)[::-1] * (np.pi / m)
     cdf = np.cumsum(dens)
     cdf /= cdf[-1]
     table = (x, cdf)
@@ -168,7 +170,9 @@ class _MarginalEnvelope:
 
     The marginal K_n(x,x) w(x) dx is mapped to a coordinate u where it is
     bounded: u = theta with x = mid + half*cos(theta) on compact supports
-    (absorbing integrable endpoint singularities into the Jacobian), or
+    (absorbing integrable endpoint singularities into the Jacobian, with the
+    weight taken from Measure.theta_density so that the pad is not eaten by
+    rounding next to theta = 0, pi), or
     u = x itself on a truncated interval for the Gaussian-type line weights,
     where the truncated mass is far below double precision.
     """
@@ -195,7 +199,7 @@ class _MarginalEnvelope:
         sub = 17
         t = (np.arange(sub) + 0.5) / sub
         u = edges[:-1, None] + np.diff(edges)[:, None] * t[None, :]
-        chunk = max(1, _POOL_DOUBLES // (sub * n))
+        chunk = max(1, _ENVELOPE_CHUNK_DOUBLES // (sub * n))
         with np.errstate(over="ignore", invalid="ignore"):
             peak = np.concatenate([
                 self._density(u[c:c + chunk].ravel())[2].reshape(-1, sub).max(axis=1)
@@ -219,9 +223,9 @@ class _MarginalEnvelope:
         x = self._to_x(u)
         P = self.kern.design(x)
         kdiag = np.einsum("ij,ij->i", P, P)
-        w = self.kern.measure.weight(x)
-        jac = self.half * np.sin(u) if self.compact else 1.0
-        return x, P, kdiag * w * jac
+        measure = self.kern.measure
+        w = measure.theta_density(u) if self.compact else measure.weight(x)
+        return x, P, kdiag * w
 
     def propose(self, gen: np.random.Generator, size: int):
         """Draw u from the normalized step density; return (x, design, height@u)."""

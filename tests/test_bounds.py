@@ -195,15 +195,15 @@ class TestWilsonAndMc:
     def test_mc_requires_replicas(self):
         kern = CDKernel(measures.chebyshev(), 3)
         with pytest.raises(PreconditionError):
-            bounds.tail_probability_mc(kern, functions.get("square"), 0.1, 10,
+            bounds.tail_probability_mc(kern, functions.get("square"), [0.1], 10,
                                        None, 3.0)
 
     def test_mc_range_bound_eps_gives_zero(self):
         from opelab.sampler import RngStream
         kern = CDKernel(measures.chebyshev(), 4)
         f = functions.get("square")
-        res = bounds.tail_probability_mc(kern, f, eps=3.0, replicas=1000,
-                                         rng=RngStream(2, 0), normalization=4.0)
+        res = bounds.tail_probability_mc(kern, f, [3.0], replicas=1000,
+                                         rng=RngStream(2, 0), normalization=4.0)[0]
         # eps above the range bound 2 sup |f|: empirically impossible
         assert res["empirical"] == 0.0
         assert res["dominated"]

@@ -147,6 +147,21 @@ class TestMeasureObject:
         assert np.all(np.isfinite(lw))
         assert mu.weight(np.array([5.0]))[0] == 0.0  # underflows in linear space
 
+    def test_theta_density(self):
+        theta = np.linspace(0.05, math.pi - 0.05, 41)
+        for mu in (measures.chebyshev(), measures.legendre(), measures.jacobi(0.5, 1.5),
+                   measures.jacobi(-0.5, 0.25)):
+            want = mu.weight(np.cos(theta)) * np.sin(theta)
+            assert np.allclose(mu.theta_density(theta), want, rtol=1e-10, atol=0.0)
+        # next to the ends 1 - x^2 cancels in x; the theta form keeps every digit
+        ends = np.array([1e-9, math.pi - 1e-9])
+        assert np.all(measures.chebyshev().theta_density(ends) == 1.0 / math.pi)
+        s, c = np.sin(ends / 2), np.cos(ends / 2)
+        a, b = 0.5, 1.5
+        beta = math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+        assert np.allclose(measures.jacobi(a, b).theta_density(ends),
+                           s ** (2 * a + 1) * c ** (2 * b + 1) / beta, rtol=1e-12, atol=0.0)
+
     def test_json_round_trip(self):
         for mu in (measures.chebyshev(), measures.jacobi(0.25, -0.25),
                    measures.varying_gaussian(7)):

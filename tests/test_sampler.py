@@ -167,6 +167,19 @@ class TestSampleability:
         s = sample_ope(CDKernel(measures.jacobi(-0.5, 0.0), 6), RngStream(2, 0))
         assert s.n == 6
 
+    def test_envelope_dominates_next_to_the_ends(self):
+        # within ~3e-8 of theta = 0, pi the x-coordinate weight 1/sqrt(1 - x^2)
+        # can be off by more than the envelope's 5 % pad
+        from opelab.sampler import _envelope
+
+        kern = CDKernel(measures.chebyshev(), 50)
+        env = _envelope(kern)
+        gap = np.linspace(1e-9, 1e-7, 2001)
+        for u, cell in ((gap, 0), (np.pi - gap, len(env.heights) - 1)):
+            _, _, dens = env._density(u)
+            assert np.all(dens <= env.heights[cell])
+            assert dens == pytest.approx((2 * 50 - 1) / np.pi, rel=1e-10)
+
     def test_overflowing_envelope_raises_numerical_error(self):
         kern = CDKernel(measures.varying_gaussian(400), 400)
         with pytest.raises(NumericalError, match="overflows"):
