@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .kernel import CDKernel, _sqrt_weight, kernel_matrix, kernel_sum, kernel_tilde
 from .linstat import ScaledStatistic, TestFunction, exact_scaled_variance, scaled_function
-from .measures import Measure
+from .measures import Measure, _gl_panels
 
 __all__ = [
     "EquilibriumDensity",
@@ -120,26 +120,17 @@ def _panel_rule_theta(measure: Measure, lo: float, hi: float, n: int):
     ta = math.acos(np.clip((hi - mid) / half, -1.0, 1.0))
     tb = math.acos(np.clip((lo - mid) / half, -1.0, 1.0))
     npanels = max(32, int(2 * n * (tb - ta)) + 1)
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(ta, tb, npanels + 1)
-    ph = 0.5 * np.diff(edges)
-    pm = 0.5 * (edges[:-1] + edges[1:])
-    theta = (pm[:, None] + ph[:, None] * gx[None, :]).ravel()
+    theta, tw = _gl_panels(np.linspace(ta, tb, npanels + 1))
     y = mid + half * np.cos(theta)
-    w = (ph[:, None] * gw[None, :]).ravel() * measure.weight(y) * half * np.sin(theta)
+    w = tw * measure.weight(y) * half * np.sin(theta)
     return y, w
 
 
 def _panel_rule_line(measure: Measure, lo: float, hi: float, n: int):
     dens = max(1.0, 2.0 * n / max(hi - lo, 1e-12))
     npanels = max(32, int(dens * (hi - lo)) + 1)
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(lo, hi, npanels + 1)
-    ph = 0.5 * np.diff(edges)
-    pm = 0.5 * (edges[:-1] + edges[1:])
-    y = (pm[:, None] + ph[:, None] * gx[None, :]).ravel()
-    w = (ph[:, None] * gw[None, :]).ravel() * measure.weight(y)
-    return y, w
+    y, w = _gl_panels(np.linspace(lo, hi, npanels + 1))
+    return y, w * measure.weight(y)
 
 
 def _restricted_rule(kern: CDKernel, lo: float, hi: float):

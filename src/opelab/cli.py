@@ -149,7 +149,7 @@ def _run_sample(cfg: ExperimentConfig, out: Path) -> list:
     for n in cfg.n_grid:
         rng = RngStream(cfg.seed, 0)
         if cfg.method == "tridiagonal":
-            samples = sample_gue_batch(n, rng, cfg.replicas)
+            samples = sample_gue_batch(n, rng, cfg.replicas, cfg.measure.params["n"])
         else:
             samples = sample_ope_batch(CDKernel(cfg.measure, n), rng, cfg.replicas)
         path = out / f"samples_n{n}.csv"

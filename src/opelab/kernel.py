@@ -44,10 +44,12 @@ class CDKernel:
 
 
 def kernel_sum(kern: CDKernel, x, y) -> np.ndarray | float:
-    """K_n(x, y) by direct summation of the orthonormal polynomial products."""
+    """K_n(x, y) by direct summation of the orthonormal polynomial products.
+
+    With y is x (the diagonal K_n(x, x)) the recurrence runs once."""
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     px = orthonormal_prefix(kern.coeffs, kern.n - 1, xb)
-    py = orthonormal_prefix(kern.coeffs, kern.n - 1, yb)
+    py = px if y is x else orthonormal_prefix(kern.coeffs, kern.n - 1, yb)
     val = np.sum(px * py, axis=0)
     return float(val) if val.ndim == 0 else val
 
@@ -55,10 +57,13 @@ def kernel_sum(kern: CDKernel, x, y) -> np.ndarray | float:
 def kernel_matrix(kern: CDKernel, x, y) -> np.ndarray:
     """K_n(x_i, y_j) for every pair, as design(x) @ design(y)^T.
 
-    Runs the recurrence once per point of x and of y, where kernel_sum on
-    broadcast arguments runs it once per pair.  Scalars count as one point.
+    Runs the recurrence once per point of x and of y (once in all if y is
+    x), where kernel_sum on broadcast arguments runs it once per pair.
+    Scalars count as one point.
     """
-    return kern.design(x) @ kern.design(y).T
+    px = kern.design(x)
+    py = px if y is x else kern.design(y)
+    return px @ py.T
 
 
 def kernel_cd(kern: CDKernel, x: float, y: float) -> float:
@@ -89,7 +94,9 @@ def kernel_tilde(kern: CDKernel, x, y) -> np.ndarray | float:
     The square-root weights are formed in log-space, which avoids underflow
     for the varying Gaussian family at large n.
     """
-    val = _sqrt_weight(kern, x) * _sqrt_weight(kern, y) * kernel_sum(kern, x, y)
+    sx = _sqrt_weight(kern, x)
+    sy = sx if y is x else _sqrt_weight(kern, y)
+    val = sx * sy * kernel_sum(kern, x, y)
     arr = np.asarray(val)
     return float(arr) if arr.ndim == 0 else arr
 
@@ -119,15 +126,16 @@ def reproducing_residual(kern: CDKernel, x: float, y: float, m: int) -> float:
     z_i with the Christoffel numbers 1 / K_m(z_i, z_i) from the forward
     recurrence as weights.  The raw Golub-Welsch weights would not do: a tiny
     one is accurate only in absolute terms, while K(x, z_i) K(z_i, y) is huge
-    exactly there.  The residual thus checks that the nodes are the zeros of
-    p_m and that the recurrence values agree with them.
+    exactly there.  The residual thus checks that the nodes (closed-form for
+    Chebyshev, Jacobi-matrix eigenvalues otherwise) are the zeros of p_m and
+    that the recurrence values agree with them.  K(x, z_i) and K(y, z_i) come
+    from one kernel_matrix, so the recurrence runs once over the nodes.
     """
     if m < kern.n:
         raise PreconditionError(f"need m >= n = {kern.n}, got m = {m}")
     nodes, _ = kern.measure.gauss_rule(m)
     pz = orthonormal_prefix(kern.measure.recurrence(m), m - 1, nodes)
     christoffel = 1.0 / np.sum(pz * pz, axis=0)
-    kxz = kernel_sum(kern, x, nodes)
-    kzy = kernel_sum(kern, nodes, y)
-    integral = float(np.sum(christoffel * kxz * kzy))
+    kxz, kyz = kernel_matrix(kern, np.array([x, y], dtype=float), nodes)
+    integral = float(np.sum(christoffel * kxz * kyz))
     return abs(integral - float(kernel_sum(kern, x, y)))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError, ResolutionError
 from .kernel import CDKernel
+from .measures import _gl_panels
 
 __all__ = [
     "TestFunction",
@@ -137,18 +138,14 @@ def _window_rule(kern: CDKernel, lo: float, hi: float, extra: Sequence[float], n
     key = ("window", round(lo, 15), round(hi, 15), tuple(extra), npanels)
     if key in c:
         return c[key]
-    gx, gw = np.polynomial.legendre.leggauss(16)
     brk = _window_breakpoints(lo, hi, extra)
     edges = [brk[0]]
     total = hi - lo
     for a, b in zip(brk[:-1], brk[1:]):
         k = max(1, int(round(npanels * (b - a) / total)))
         edges.extend(np.linspace(a, b, k + 1)[1:])
-    edges = np.asarray(edges)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel() * kern.measure.weight(nodes)
+    nodes, weights = _gl_panels(np.asarray(edges))
+    weights = weights * kern.measure.weight(nodes)
     S = np.sqrt(weights)[:, None] * kern.design(nodes)
     c[key] = (nodes, S)
     return c[key]

@@ -108,6 +108,13 @@ def design_matrix(coeffs: RecurrenceCoefficients, n: int, x) -> np.ndarray:
     return orthonormal_prefix(coeffs, n - 1, xv).T
 
 
+def _check_rule_size(m: int, ncols: int, depth: int | None = None) -> None:
+    if not (1 <= ncols <= m):
+        raise PreconditionError(f"need 1 <= ncols <= m, got ncols={ncols}, m={m}")
+    if depth is not None and m > depth:
+        raise PreconditionError(f"need 1 <= m <= depth, got m={m}, depth={depth}")
+
+
 def gauss_quadrature(coeffs: RecurrenceCoefficients, m: int):
     """m-point Gauss rule for the underlying probability measure (Golub-Welsch).
 
@@ -132,18 +139,19 @@ def gauss_quadrature(coeffs: RecurrenceCoefficients, m: int):
 
 
 def gauss_quadrature_scaled(coeffs: RecurrenceCoefficients, m: int, ncols: int):
-    """m-point Gauss rule plus the sqrt-weight-scaled design matrix.
+    """m-point Gauss rule plus the sqrt-weight-scaled design matrix, by the
+    Golub-Welsch eigensolve of the Jacobi matrix (Math. Comp. 23, 1969).
 
-    Returns (nodes, weights, S) with S[i, j] = sqrt(w_i) p_j(x_i) for j < ncols,
-    read directly off the Jacobi-matrix eigenvectors.  Every entry of S is O(1)
+    Returns (nodes, weights, S) with the nodes ascending and
+    S[i, j] = sqrt(w_i) p_j(x_i) for j < ncols, read directly off the
+    eigenvectors with the sign making S[:, 0] > 0.  Every entry of S is O(1)
     even where the weights underflow and the polynomial values overflow (e.g.
     Gaussian-type weights at large m), which the forward recurrence cannot
-    guarantee.
+    guarantee.  The columns of S are rows of an orthogonal matrix, so
+    S^T S = I for any recurrence.  Measure.gauss_rule_scaled uses closed forms
+    for the families in _CLOSED_FORM_RULES and this routine for the others.
     """
-    if not (1 <= ncols <= m):
-        raise PreconditionError(f"need 1 <= ncols <= m, got ncols={ncols}, m={m}")
-    if m < 1 or m > coeffs.depth:
-        raise PreconditionError(f"need 1 <= m <= depth, got m={m}, depth={coeffs.depth}")
+    _check_rule_size(m, ncols, coeffs.depth)
     try:
         vals, vecs = eigh_tridiagonal(coeffs.diag[:m], coeffs.offdiag[: m - 1])
     except Exception as exc:  # pragma: no cover - eigensolver failures are rare
@@ -153,6 +161,46 @@ def gauss_quadrature_scaled(coeffs: RecurrenceCoefficients, m: int, ncols: int):
     weights = vecs[0, :] ** 2
     S = (vecs[:ncols, :] * sign[None, :]).T
     return vals, weights, S
+
+
+def _chebyshev_rule(m: int, ncols: int):
+    """Gauss-Chebyshev rule in closed form (Gautschi 2004, Sec. 1.4), in the
+    conventions of gauss_quadrature_scaled.
+
+    Ascending nodes x_i = cos(theta_i), theta_i = (2i-1) pi / 2m for
+    i = m, ..., 1, weights 1/m, S[i, 0] = sqrt(1/m) and
+    S[i, j] = sqrt(2/m) cos(j theta_i).  The argument j (2i-1) pi / 2m is
+    reduced mod 2 pi in integers, k = j (2i-1) mod 4m, before the cosine:
+    cos(j * theta_i) in floating point loses about j ulp of theta_i, which at
+    m = 3328, ncols = 800 leaves S^T S - I at 3e-14 instead of 3e-15.
+    """
+    _check_rule_size(m, ncols)
+    odd = np.arange(2 * m - 1, 0, -2, dtype=np.int64)
+    table = np.cos((math.pi / (2 * m)) * np.arange(4 * m))
+    nodes = table[odd]
+    S = table[np.outer(odd, np.arange(ncols, dtype=np.int64)) % (4 * m)]
+    S *= math.sqrt(2.0 / m)
+    S[:, 0] = math.sqrt(1.0 / m)
+    return nodes, np.full(m, 1.0 / m), S
+
+
+# Gauss rules with a closed form, by family; every other family is solved
+# by gauss_quadrature_scaled.  Each entry maps (m, ncols) to (nodes, weights, S).
+_CLOSED_FORM_RULES = {"chebyshev1st": _chebyshev_rule}
+
+
+# 16-point Gauss-Legendre rule on [-1, 1], shared by every composite panel rule.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gl_panels(edges: np.ndarray):
+    """Composite 16-point Gauss-Legendre rule for Lebesgue measure on the
+    panels [edges[k], edges[k+1]], as (nodes, weights), panel by panel."""
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +460,34 @@ class Measure:
         return RecurrenceCoefficients(self._diag[:depth], self._off[:depth])
 
     def gauss_rule(self, m: int):
-        """Cached m-point Gauss rule with respect to the measure.
+        """Cached m-point Gauss rule with respect to the measure, as
+        (nodes, weights) with the nodes ascending: in closed form for the
+        families in _CLOSED_FORM_RULES (Chebyshev), else by Golub-Welsch.
 
         Small weights are accurate only in absolute terms (see
         gauss_quadrature); use gauss_rule_scaled to integrate products of
         polynomial values.
         """
         if m not in self._rules:
-            self._rules[m] = gauss_quadrature(self.recurrence(m), m)
+            closed = _CLOSED_FORM_RULES.get(self.family)
+            if closed is not None:
+                self._rules[m] = closed(m, 1)[:2]
+            else:
+                self._rules[m] = gauss_quadrature(self.recurrence(m), m)
         return self._rules[m]
 
     def gauss_rule_scaled(self, m: int, ncols: int):
-        """Cached m-point Gauss rule with the sqrt-weight-scaled design."""
+        """Cached m-point Gauss rule with the sqrt-weight-scaled design, as
+        (nodes, weights, S) in the conventions of gauss_quadrature_scaled:
+        in closed form for the families in _CLOSED_FORM_RULES (Chebyshev),
+        else by the Golub-Welsch eigensolve."""
         key = ("scaled", m, ncols)
         if key not in self._rules:
-            self._rules[key] = gauss_quadrature_scaled(self.recurrence(m), m, ncols)
+            closed = _CLOSED_FORM_RULES.get(self.family)
+            if closed is not None:
+                self._rules[key] = closed(m, ncols)
+            else:
+                self._rules[key] = gauss_quadrature_scaled(self.recurrence(m), m, ncols)
         return self._rules[key]
 
     # -- serialization ------------------------------------------------------

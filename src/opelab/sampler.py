@@ -333,7 +333,7 @@ def sample_ope_batch(kern: CDKernel, rng: RngStream, replicas: int) -> np.ndarra
 # Tridiagonal matrix model for the varying Gaussian weight
 # ---------------------------------------------------------------------------
 
-def _gue_points(n: int, gen: np.random.Generator) -> np.ndarray:
+def _gue_points(n: int, gen: np.random.Generator, weight_n: int) -> np.ndarray:
     diag = gen.standard_normal(n)
     k = np.arange(n - 1, 0, -1)
     off = np.sqrt(gen.chisquare(2 * k)) * _TRIDIAG_OFFDIAG_SCALE
@@ -341,21 +341,27 @@ def _gue_points(n: int, gen: np.random.Generator) -> np.ndarray:
         vals = eigvalsh_tridiagonal(diag, off)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return np.sort(vals) / math.sqrt(n)
+    return np.sort(vals) / math.sqrt(weight_n)
 
 
-def sample_gue_tridiagonal(n: int, rng: RngStream) -> SampleConfiguration:
-    """Eigenvalues of the beta=2 tridiagonal model, matching the varying
-    Gaussian ensemble with weight exp(-n x^2 / 2)."""
+def sample_gue_tridiagonal(n: int, rng: RngStream,
+                           weight_n: int | None = None) -> SampleConfiguration:
+    """Eigenvalues of the beta=2 tridiagonal model, matching the rank-n
+    ensemble of the varying Gaussian weight exp(-N x^2 / 2), N = weight_n
+    (default n)."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    return SampleConfiguration(_gue_points(n, rng.generator()), rng.seed, "tridiagonal", n)
+    points = _gue_points(n, rng.generator(), n if weight_n is None else weight_n)
+    return SampleConfiguration(points, rng.seed, "tridiagonal", n)
 
 
-def sample_gue_batch(n: int, rng: RngStream, replicas: int) -> np.ndarray:
+def sample_gue_batch(n: int, rng: RngStream, replicas: int,
+                     weight_n: int | None = None) -> np.ndarray:
+    """replicas draws of sample_gue_tridiagonal, one child substream each."""
+    weight_n = n if weight_n is None else weight_n
     out = np.empty((replicas, n))
     for r in range(replicas):
-        out[r] = _gue_points(n, rng.child(r).generator())
+        out[r] = _gue_points(n, rng.child(r).generator(), weight_n)
     return out
 
 

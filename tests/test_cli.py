@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from opelab import cli
 from opelab.errors import ConfigurationError
+from opelab.sampler import RngStream, sample_gue_batch
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -166,6 +168,18 @@ class TestMainEntry:
         path = write_config(tmp_path, payload)
         assert cli.main(["sample", "--config", path, "--out",
                          str(tmp_path / "o")]) == 2
+
+    def test_tridiagonal_scales_by_the_weight_n(self, tmp_path):
+        """Rank 4 of exp(-16 x^2 / 2): the CSV holds the draws for N = 16."""
+        payload = dict(BASE, experiment="sample", n_grid=[4], method="tridiagonal",
+                       replicas=3, measure={"family": "varying_gaussian", "params": {"n": 16}})
+        out = tmp_path / "o"
+        assert cli.main(["sample", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+        rows = (out / "samples_n4.csv").read_text().splitlines()[3:]
+        got = np.array([float(r.split(",")[2]) for r in rows]).reshape(3, 4)
+        want = sample_gue_batch(4, RngStream(7, 0), 3, 16)
+        assert np.array_equal(got, want)
 
     def test_overflowing_envelope_exits_3_with_json(self, tmp_path, capsys):
         payload = dict(BASE, experiment="sample", n_grid=[400],

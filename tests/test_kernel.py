@@ -8,6 +8,7 @@ from opelab.errors import DomainError, PreconditionError
 from opelab.kernel import (
     CDKernel,
     kernel_cd,
+    kernel_matrix,
     kernel_sum,
     kernel_tilde,
     reproducing_residual,
@@ -45,6 +46,19 @@ class TestKernelSum:
         vec = kernel_sum(kern, 0.25, y)
         assert vec.shape == (5,)
         assert vec[2] == pytest.approx(kernel_sum(kern, 0.25, y[2]))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_diagonal_matches_two_argument_call(self, family):
+        """With y is x the recurrence runs once; the value is that of a copy."""
+        kern = CDKernel(FAMILIES[family](), 20)
+        x = np.linspace(-0.9, 0.9, 41)
+        assert np.array_equal(kernel_sum(kern, x, x), kernel_sum(kern, x, x.copy()))
+        assert kernel_sum(kern, 0.3, 0.3) == kernel_sum(kern, 0.3, float(np.float64(0.3)))
+        assert np.array_equal(kernel_tilde(kern, x, x), kernel_tilde(kern, x, x.copy()))
+        # design @ design.T may take the symmetric BLAS product: equal to rounding
+        same, copy = kernel_matrix(kern, x, x), kernel_matrix(kern, x, x.copy())
+        assert np.allclose(same, copy, rtol=1e-13, atol=1e-13 * np.max(np.abs(copy)))
+        assert np.allclose(np.diag(same), kernel_sum(kern, x, x), rtol=1e-13)
 
     def test_rank_precondition(self):
         with pytest.raises(PreconditionError):

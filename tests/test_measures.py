@@ -104,6 +104,48 @@ class TestGaussQuadrature:
         assert np.allclose(gram, np.eye(m), atol=1e-10)
 
 
+class TestClosedFormChebyshevRule:
+    """Measure.gauss_rule_scaled builds the Chebyshev rule in closed form;
+    the Golub-Welsch eigensolve of gauss_quadrature_scaled is its oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2, 17, 114, 328, 1000])
+    @pytest.mark.parametrize("cols", ["one", "third", "all"])
+    def test_matches_golub_welsch(self, m, cols):
+        ncols = {"one": 1, "third": -(-m // 3), "all": m}[cols]
+        mu = measures.chebyshev()
+        nodes, weights, S = mu.gauss_rule_scaled(m, ncols)
+        gx, gw, gS = measures.gauss_quadrature_scaled(mu.recurrence(m), m, ncols)
+        assert S.shape == gS.shape == (m, ncols)
+        assert np.max(np.abs(nodes - gx)) <= 1e-14
+        assert np.max(np.abs(S - gS)) <= 1e-11
+        assert np.max(np.abs(S.T @ S - np.eye(ncols))) <= 1e-14
+        assert np.all(np.diff(nodes) > 0.0) and np.all(S[:, 0] > 0.0)
+        assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
+        assert np.array_equal(mu.gauss_rule(m)[0], nodes)
+
+    def test_orthogonal_at_large_m(self):
+        # cos(j * theta_i) without the integer reduction gives 3.4e-14 here
+        _, _, S = measures.chebyshev().gauss_rule_scaled(3328, 800)
+        assert np.max(np.abs(S.T @ S - np.eye(800))) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 41])
+    def test_even_moments_exact(self, m):
+        # arcsine even moments E x^{2k} = binom(2k, k) / 4^k, exact for 2k <= 2m - 1
+        nodes, weights = measures.chebyshev().gauss_rule(m)
+        for k in range(0, m):
+            want = math.comb(2 * k, k) / 4.0 ** k
+            assert np.sum(weights * nodes ** (2 * k)) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_size_preconditions(self):
+        mu = measures.chebyshev()
+        with pytest.raises(PreconditionError):
+            mu.gauss_rule_scaled(0, 1)
+        with pytest.raises(PreconditionError):
+            mu.gauss_rule_scaled(4, 5)
+        with pytest.raises(PreconditionError):
+            mu.gauss_rule_scaled(4, 0)
+
+
 class TestStieltjes:
     @pytest.mark.parametrize("target,weight", [
         (measures.chebyshev, lambda x: 1.0 / np.sqrt(np.maximum(1.0 - x * x, 1e-300))),

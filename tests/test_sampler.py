@@ -204,6 +204,18 @@ class TestTridiagonalModel:
         assert want == pytest.approx(n, rel=1e-10)
         assert abs(np.mean(vals) - want) <= 4 * se
 
+    def test_weight_n_other_than_rank(self):
+        """Rank 4 under exp(-16 x^2 / 2): the eigenvalues scale by 1/sqrt(16),
+        not by 1/sqrt(rank)."""
+        n, big_n, reps = 4, 16, 4000
+        vals = np.sum(sample_gue_batch(n, RngStream(1, 0), reps, big_n) ** 2, axis=1)
+        want = exact_mean(CDKernel(measures.varying_gaussian(big_n), n), functions.get("square"))
+        se = np.std(vals, ddof=1) / np.sqrt(reps)
+        assert want == pytest.approx(1.0, rel=1e-10)
+        assert abs(np.mean(vals) - want) <= 4 * se
+        one = sample_gue_tridiagonal(n, RngStream(1, 0), big_n).points
+        assert np.array_equal(one * 2.0, sample_gue_tridiagonal(n, RngStream(1, 0)).points)
+
     def test_cross_validation_ks(self):
         n, reps = 10, 1500
         kern = CDKernel(measures.varying_gaussian(n), n)
