@@ -32,7 +32,6 @@ from .sampler import (
     SampleConfiguration,
     sample_gue_tridiagonal,
     sample_ope,
-    sample_reference,
 )
 from .bounds import BoundReport, ConstantA, constant_A
 from .asymptotics import DecayDiagnostic, EquilibriumDensity, sine_kernel

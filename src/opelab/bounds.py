@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .kernel import CDKernel
-from .linstat import TestFunction, commutator_hs_norm_sq, exact_mean, log_mgf
+from .linstat import TestFunction, _ladder, exact_mean
 
 __all__ = [
     "ConstantA",
@@ -234,8 +234,9 @@ def lemma32_check(kern: CDKernel, f: TestFunction, t: float, m: int | None = Non
         )
     if t == 0.0:
         return 0.0, 0.0, True
-    lhs = abs(log_mgf(kern, f, t, m) - t * exact_mean(kern, f, m))
-    rhs = 0.5 * constant_A().value * t * t * commutator_hs_norm_sq(kern, f, m)
+    lmgf, mean, var = _ladder(kern, f, m, (t, "mean", "variance"))
+    lhs = abs(lmgf - t * mean)
+    rhs = 0.5 * constant_A().value * t * t * (2.0 * var)  # ||[f, K]||_2^2 = 2 Var X_f
     return lhs, rhs, bool(lhs <= rhs + 1e-10)
 
 

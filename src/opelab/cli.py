@@ -158,14 +158,24 @@ def _run_sample(cfg: ExperimentConfig, out: Path) -> list:
     return files
 
 
-def _run_stats(cfg: ExperimentConfig, out: Path) -> list:
+def _scaled_variance(kern: CDKernel, s: ScaledStatistic, memo: dict | None) -> float:
+    """exact_scaled_variance, computed once per (n, statistic) in one memo."""
+    if memo is None:
+        return exact_scaled_variance(kern, s)
+    key = (kern.n, s)
+    if key not in memo:
+        memo[key] = exact_scaled_variance(kern, s)
+    return memo[key]
+
+
+def _run_stats(cfg: ExperimentConfig, out: Path, memo: dict | None = None) -> list:
     rows = []
     s = cfg.statistic
     for n in cfg.n_grid:
         kern = CDKernel(cfg.measure, n)
         mean = exact_mean(kern, s.f)
         var = exact_variance(kern, s.f)
-        svar = exact_scaled_variance(kern, s) if s.alpha > 0 else var
+        svar = _scaled_variance(kern, s, memo) if s.alpha > 0 else var
         rows.append([n, mean, var, svar])
     path = out / "stats.csv"
     _write_csv(path, ["n", "mean", "variance", "scaled_variance"], rows)
@@ -189,7 +199,7 @@ def _run_bounds(cfg: ExperimentConfig, out: Path) -> list:
     return [path.name]
 
 
-def _run_nevai(cfg: ExperimentConfig, out: Path) -> list:
+def _run_nevai(cfg: ExperimentConfig, out: Path, memo: dict | None = None) -> list:
     rows = []
     s = cfg.statistic
     alpha = s.alpha if s.alpha > 0 else 0.5
@@ -198,8 +208,8 @@ def _run_nevai(cfg: ExperimentConfig, out: Path) -> list:
         ni = nevai_integral(kern, s.f, s.xstar)
         an = alpha_nevai_functional(kern, s.f, alpha, s.xstar)
         cm = concentration_mass(kern, s.xstar, 0.1)
-        sv = float(n) ** (alpha - 1.0) * exact_scaled_variance(
-            kern, ScaledStatistic(s.f, alpha, s.xstar))
+        sv = float(n) ** (alpha - 1.0) * _scaled_variance(
+            kern, ScaledStatistic(s.f, alpha, s.xstar), memo)
         rows.append([n, ni, an, cm, sv])
     path = out / "nevai.csv"
     _write_csv(path, ["n", "nevai_integral", "alpha_nevai", "concentration_mass",
@@ -226,8 +236,9 @@ def _run_universality(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_report(cfg: ExperimentConfig, out: Path) -> list:
-    files = _run_stats(cfg, out)
-    files += _run_nevai(cfg, out)
+    memo = {}   # nevai.csv reuses the scaled variances of stats.csv
+    files = _run_stats(cfg, out, memo)
+    files += _run_nevai(cfg, out, memo)
     files += _run_universality(cfg, out)
     summary = {
         "constant_A": constant_A().value,

@@ -8,9 +8,10 @@ quadrature of the kernel identities
     E e^{tX_f} = det(1 + (e^{tf}-1) K_n)
 
 on one doubling ladder of quadrature rules that stops when successive rungs
-agree.  The variance is the two-term form above, computed once; for
-polynomial f the tests check it, and the mean, against the exact
-Jacobi-matrix moments.
+agree.  One pass over the ladder serves every requested moment of f: each
+rung evaluates f on its nodes once.  The variance is the two-term form
+above, computed once; for polynomial f the tests check it, and the mean,
+against the exact Jacobi-matrix moments.
 """
 
 from __future__ import annotations
@@ -113,16 +114,21 @@ def _cache(kern: CDKernel) -> dict:
     return kern._linstat_cache
 
 
+def _with_diagonal(nodes: np.ndarray, S: np.ndarray):
+    # w_i K(x_i, x_i) = sum_j S_ij^2
+    return nodes, S, np.einsum("ij,ij->i", S, S)
+
+
 def _global_rule(kern: CDKernel, m: int):
-    """m-point Gauss rule wrt mu as (nodes, S) with the sqrt-weight-scaled
-    design S[i, j] = sqrt(w_i) p_j(x_i), cached per kernel.  The scaled form
-    keeps every entry O(1) for unbounded weights, where the raw design
-    overflows while the weights underflow."""
+    """m-point Gauss rule wrt mu as (nodes, S, kd) with the sqrt-weight-scaled
+    design S[i, j] = sqrt(w_i) p_j(x_i) and its row norms kd_i = w_i K(x_i, x_i),
+    cached per kernel.  The scaled form keeps every entry O(1) for unbounded
+    weights, where the raw design overflows while the weights underflow."""
     c = _cache(kern)
     key = ("global", m)
     if key not in c:
         nodes, _, S = kern.measure.gauss_rule_scaled(m, kern.n)
-        c[key] = (nodes, S)
+        c[key] = _with_diagonal(nodes, S)
     return c[key]
 
 
@@ -133,7 +139,7 @@ def _window_breakpoints(lo: float, hi: float, extra: Sequence[float]) -> np.ndar
 
 def _window_rule(kern: CDKernel, lo: float, hi: float, extra: Sequence[float], npanels: int):
     """Composite Gauss-Legendre rule on [lo, hi] with panels split at
-    breakpoints, as (nodes, S) with S the sqrt-weight-scaled design."""
+    breakpoints, as (nodes, S, kd) like _global_rule."""
     c = _cache(kern)
     key = ("window", round(lo, 15), round(hi, 15), tuple(extra), npanels)
     if key in c:
@@ -146,8 +152,7 @@ def _window_rule(kern: CDKernel, lo: float, hi: float, extra: Sequence[float], n
         edges.extend(np.linspace(a, b, k + 1)[1:])
     nodes, weights = _gl_panels(np.asarray(edges))
     weights = weights * kern.measure.weight(nodes)
-    S = np.sqrt(weights)[:, None] * kern.design(nodes)
-    c[key] = (nodes, S)
+    c[key] = _with_diagonal(nodes, np.sqrt(weights)[:, None] * kern.design(nodes))
     return c[key]
 
 
@@ -174,38 +179,56 @@ def _window_panels(kern: CDKernel, win: tuple[float, float], level: int) -> int:
     return base * (1 << level)
 
 
-def _refine(values: Callable, start: int, cap: int):
-    """Evaluate values(size) on a doubling ladder until successive agreement."""
-    size, prev = start, None
-    while True:
-        val = values(size)
-        if size >= cap:
-            return val
-        if prev is not None and abs(val - prev) / (1.0 + abs(val)) <= _REFINE_RTOL:
-            return val
-        prev, size = val, min(2 * size, cap)
+def _term(term, fv: np.ndarray, S: np.ndarray, kd: np.ndarray) -> float:
+    """One moment of X_f on a rule, from fv = f(nodes) and kd = w K(x, x)."""
+    if term == "mean":
+        # sum_i w_i f(x_i) K(x_i, x_i) with the weight folded into S
+        return float(np.sum(fv * kd))
+    if term == "variance":
+        F = S.T @ (fv[:, None] * S)
+        return float(np.sum(fv * fv * kd) - np.sum(F * F))
+    phi = np.expm1(term * fv)
+    M = np.eye(S.shape[1]) + S.T @ (phi[:, None] * S)
+    sign, logdet = np.linalg.slogdet(M)
+    if sign <= 0.0:
+        raise NumericalError("MGF matrix lost positive-definiteness")
+    return float(logdet)
 
 
-def _ladder(kern: CDKernel, f: TestFunction, m: int | None, value: Callable):
-    """value(nodes, S) on the quadrature rule for f: panels on f's window if
-    _window_for finds one, else the mu-Gauss rule.  Its size is m (the base
-    panel count on a window) when m is given; otherwise the rule is refined
-    until successive rungs agree."""
+def _ladder(kern: CDKernel, f: TestFunction, m: int | None, terms: Sequence) -> list:
+    """The moments of X_f named in terms ("mean", "variance", or a float t for
+    log E e^{tX_f}), in that order, on the quadrature rule for f: panels on
+    f's window if _window_for finds one, else the mu-Gauss rule.  Its size is
+    m (the base panel count on a window) when m is given; otherwise the rule
+    is doubled, and each term stops at the first rung that agrees with its
+    own previous rung, or at the cap, as it would if refined alone."""
     n = kern.n
     if m is not None and m < n:
         raise PreconditionError(f"quadrature size m={m} below kernel rank n={n}")
     win = _window_for(kern, f)
-
-    def rung(size):
-        if win is None:
-            return value(*_global_rule(kern, size))
-        return value(*_window_rule(kern, win[0], win[1], f.discontinuities, size))
-
-    if m is not None:
-        return rung(m if win is None else _window_panels(kern, win, 0))
     if win is None:
-        return _refine(rung, 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE)
-    return _refine(rung, _window_panels(kern, win, 0), _window_panels(kern, win, 4))
+        size, cap = 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE
+    else:
+        size, cap = _window_panels(kern, win, 0), _window_panels(kern, win, 4)
+    if m is not None:
+        size = cap = m if win is None else size
+    vals = [None] * len(terms)   # each term's value on the last rung it reached
+    todo = range(len(terms))
+    while todo:
+        if win is None:
+            nodes, S, kd = _global_rule(kern, size)
+        else:
+            nodes, S, kd = _window_rule(kern, win[0], win[1], f.discontinuities, size)
+        fv = f(nodes)
+        left = []
+        for i in todo:
+            last = vals[i]
+            vals[i] = val = _term(terms[i], fv, S, kd)
+            if size < cap and (last is None
+                               or not abs(val - last) / (1.0 + abs(val)) <= _REFINE_RTOL):
+                left.append(i)
+        todo, size = left, min(2 * size, cap)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +237,7 @@ def _ladder(kern: CDKernel, f: TestFunction, m: int | None, value: Callable):
 
 def exact_mean(kern: CDKernel, f: TestFunction, m: int | None = None) -> float:
     """E X_f = int f(x) K_n(x,x) dmu(x) by quadrature."""
-
-    def value(nodes, S):
-        # sum_i w_i f(x_i) K(x_i, x_i) with the weight folded into S
-        return float(np.sum(f(nodes) * np.einsum("ij,ij->i", S, S)))
-
-    return _ladder(kern, f, m, value)
+    return _ladder(kern, f, m, ("mean",))[0]
 
 
 def exact_variance(kern: CDKernel, f: TestFunction, m: int | None = None) -> float:
@@ -231,14 +249,7 @@ def exact_variance(kern: CDKernel, f: TestFunction, m: int | None = None) -> flo
     successive rungs agree; tests check the result against the Jacobi-matrix
     moments of polynomial f.
     """
-
-    def value(nodes, S):
-        fv = f(nodes)
-        F = S.T @ (fv[:, None] * S)
-        # w_i K(x_i, x_i) = sum_j S_ij^2
-        return float(np.sum(fv * fv * np.einsum("ij,ij->i", S, S)) - np.sum(F * F))
-
-    return _ladder(kern, f, m, value)
+    return _ladder(kern, f, m, ("variance",))[0]
 
 
 def exact_scaled_variance(kern: CDKernel, s: ScaledStatistic, m: int | None = None) -> float:
@@ -252,16 +263,7 @@ def exact_scaled_variance(kern: CDKernel, s: ScaledStatistic, m: int | None = No
 
 def log_mgf(kern: CDKernel, f: TestFunction, t: float, m: int | None = None) -> float:
     """log E[e^{t X_f}] = log det(1 + (e^{tf}-1) K_n), via a pivoted factorization."""
-
-    def value(nodes, S):
-        phi = np.expm1(t * f(nodes))
-        M = np.eye(kern.n) + S.T @ (phi[:, None] * S)
-        sign, logdet = np.linalg.slogdet(M)
-        if sign <= 0.0:
-            raise NumericalError("MGF matrix lost positive-definiteness")
-        return float(logdet)
-
-    return _ladder(kern, f, m, value)
+    return _ladder(kern, f, m, (t,))[0]
 
 
 def mgf(kern: CDKernel, f: TestFunction, t: float, m: int | None = None) -> float:

@@ -95,10 +95,15 @@ def orthonormal_prefix(coeffs: RecurrenceCoefficients, k: int, x) -> np.ndarray:
     out[0] = 1.0
     if k == 0:
         return out
-    a, b = coeffs.diag, coeffs.offdiag
-    out[1] = (xv - a[0]) / b[0]
+    # Coefficients as Python floats, and a zero a_j (None below) skipped since
+    # x - 0.0 == x exactly: the same values as with the arrays' own entries.
+    a = [None if c == 0.0 and math.copysign(1.0, c) > 0.0 else c
+         for c in coeffs.diag[:k].tolist()]
+    b = coeffs.offdiag[:k].tolist()
+    out[1] = (xv if a[0] is None else xv - a[0]) / b[0]
     for j in range(1, k):
-        out[j + 1] = ((xv - a[j]) * out[j] - b[j - 1] * out[j - 1]) / b[j]
+        shifted = xv if a[j] is None else xv - a[j]
+        out[j + 1] = (shifted * out[j] - b[j - 1] * out[j - 1]) / b[j]
     return out
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "SampleConfiguration",
     "sample_ope",
     "sample_ope_batch",
-    "sample_reference",
     "sample_gue_tridiagonal",
     "check_sampleable",
     "export_samples",
@@ -91,51 +90,6 @@ class SampleConfiguration:
             raise PreconditionError(f"expected {self.n} points, got shape {pts.shape}")
         if np.any(np.diff(pts) < 0):
             raise PreconditionError("points must be sorted ascending")
-
-
-# ---------------------------------------------------------------------------
-# Reference draws from the base measure
-# ---------------------------------------------------------------------------
-
-def _reference_batch(measure: Measure, gen: np.random.Generator, size: int) -> np.ndarray:
-    fam = measure.family
-    if fam == "chebyshev1st":
-        return np.cos(np.pi * gen.random(size))
-    if fam == "legendre":
-        return 2.0 * gen.random(size) - 1.0
-    if fam == "varying_gaussian":
-        return gen.standard_normal(size) / math.sqrt(measure.params["n"])
-    # generic: inverse CDF tabulated on a fine grid of the weight
-    table = _grid_cdf_table(measure)
-    u = gen.random(size)
-    return np.interp(u, table[1], table[0])
-
-
-def _grid_cdf_table(measure: Measure):
-    cache = getattr(measure, "_sampler_cdf", None)
-    if cache is not None:
-        return cache
-    lo, hi = measure.support
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigurationError(
-            f"no reference sampler for family {measure.family!r} on unbounded support"
-        )
-    # midpoint rule in theta = arccos of the affine map; handles endpoint
-    # singularities of Jacobi-type weights
-    m = 200_000
-    theta = (np.arange(m) + 0.5) * np.pi / m
-    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)[::-1]
-    dens = measure.theta_density(theta)[::-1] * (np.pi / m)
-    cdf = np.cumsum(dens)
-    cdf /= cdf[-1]
-    table = (x, cdf)
-    measure._sampler_cdf = table
-    return table
-
-
-def sample_reference(measure: Measure, rng: RngStream) -> float:
-    """One draw from the base measure itself (rank-1 ensemble)."""
-    return float(_reference_batch(measure, rng.generator(), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opelab import functions, measures
+from opelab import functions, linstat, measures
 from opelab.errors import PreconditionError
 from opelab.kernel import CDKernel
 from opelab.linstat import (
@@ -20,6 +20,7 @@ from opelab.linstat import (
     exact_variance,
     log_mgf,
     mgf,
+    scaled_function,
 )
 from opelab.sampler import SampleConfiguration
 
@@ -226,3 +227,71 @@ class TestCommutator:
         kern = CDKernel(measures.legendre(), 5)
         for f in functions.bounded_suite(5):
             assert commutator_hs_norm_sq(kern, f) >= 0.0
+
+
+# cos(60x) at n = 5: alone, the mean stops at rung 2, the variance at rung 3
+# and log E e^{0.2 X} at rung 4 of the mu-Gauss ladder.
+COS60 = TestFunction(lambda x: np.cos(60.0 * x), sup_norm=1.0, name="cos60")
+# A step with its breakpoint at 0, cut to a finite support: the window path.
+WINDOWED_STEP = TestFunction(lambda x: np.where((x >= 0.0) & (x < 0.5), 1.0, 0.0),
+                             sup_norm=1.0, support=(-0.5, 0.5), discontinuities=(0.0,),
+                             name="windowed step")
+_JOINT_FAMILIES = {
+    "chebyshev": lambda n: measures.chebyshev(),
+    "legendre": lambda n: measures.legendre(),
+    "jacobi(0.5,-0.3)": lambda n: measures.jacobi(0.5, -0.3),
+    "varying_gaussian": measures.varying_gaussian,
+}
+
+
+def _alone(kern, f, term, m):
+    if term == "mean":
+        return exact_mean(kern, f, m)
+    if term == "variance":
+        return exact_variance(kern, f, m)
+    return log_mgf(kern, f, term, m)
+
+
+def _rule_sizes(monkeypatch):
+    """Record the size of every rule the ladder requests."""
+    sizes = []
+    for name in ("_global_rule", "_window_rule"):
+        rule = getattr(linstat, name)
+        monkeypatch.setattr(linstat, name,
+                            lambda *a, rule=rule: (sizes.append(a[-1]), rule(*a))[1])
+    return sizes
+
+
+class TestJointLadder:
+    """One pass over the ladder for several terms equals refining each alone."""
+
+    @pytest.mark.parametrize("family", sorted(_JOINT_FAMILIES))
+    @pytest.mark.parametrize("fname", ["cos60", "bump@0.5", "windowed_step", "step"])
+    @pytest.mark.parametrize("given_m", [False, True])
+    def test_joint_equals_separate(self, family, fname, given_m):
+        n = 5
+        kern = CDKernel(_JOINT_FAMILIES[family](n), n)
+        f = {"cos60": COS60, "windowed_step": WINDOWED_STEP, "step": functions.get("step"),
+             "bump@0.5": scaled_function(ScaledStatistic(BUMP, 0.5, 0.1), n)}[fname]
+        on_window = fname in ("bump@0.5", "windowed_step")
+        assert (linstat._window_for(kern, f) is not None) == on_window
+        m = 2 * n + 64 if given_m else None
+        for terms in (("mean", "variance", 0.2), (-0.3, "variance", "mean", 0.2, -0.3),
+                      ("variance", 0.2, "variance", "mean")):
+            joint = linstat._ladder(CDKernel(kern.measure, n), f, m, terms)
+            assert joint == [_alone(kern, f, term, m) for term in terms]
+
+    @pytest.mark.parametrize("family", ["chebyshev", "legendre", "jacobi(0.5,-0.3)"])
+    def test_each_term_stops_at_its_own_rung(self, family, monkeypatch):
+        n = 5
+        kern = CDKernel(_JOINT_FAMILIES[family](n), n)
+        sizes = _rule_sizes(monkeypatch)
+        alone, rungs = [], []
+        for term in ("mean", "variance", 0.2):
+            sizes.clear()
+            alone.append(_alone(kern, COS60, term, None))
+            rungs.append(list(sizes))
+        assert [len(r) for r in rungs] == [2, 3, 4]
+        sizes.clear()
+        assert linstat._ladder(kern, COS60, None, (0.2, "variance", "mean")) == alone[::-1]
+        assert sizes == rungs[-1]   # one rule request per rung

@@ -75,6 +75,45 @@ class TestRecurrenceCoefficients:
             assert vals[k] == pytest.approx(math.sqrt(2.0) * math.cos(k * t), abs=1e-12)
 
 
+def _textbook_prefix(co, k, x):
+    xv = np.asarray(x, dtype=float)
+    a, b = co.diag, co.offdiag
+    p = [np.ones_like(xv), (xv - a[0]) / b[0]]
+    for j in range(1, k):
+        p.append(((xv - a[j]) * p[j] - b[j - 1] * p[j - 1]) / b[j])
+    return np.array(p[:k + 1])
+
+
+_X_SHAPES = [0.3, -0.0, np.array(-0.7), np.linspace(-1.1, 1.1, 23),
+             np.linspace(-0.95, 0.95, 12).reshape(3, 4), np.array([1e200, -3.0, -0.0, 0.0])]
+
+
+class TestOrthonormalPrefixRecurrence:
+    """orthonormal_prefix equals the textbook recurrence value for value."""
+
+    @pytest.mark.parametrize("coeffs", [
+        measures.chebyshev().recurrence(60),            # a = 0
+        measures.legendre().recurrence(60),             # a = 0
+        measures.jacobi(0.5, -0.3).recurrence(60),      # a != 0
+        measures.RecurrenceCoefficients(np.full(60, -0.0), np.full(60, 0.5)),
+    ], ids=["chebyshev", "legendre", "jacobi", "minus_zero_diag"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 49])
+    @pytest.mark.parametrize("x", _X_SHAPES, ids=["float", "minus_zero", "0d", "1d", "2d",
+                                                  "overflow"])
+    def test_matches_textbook(self, coeffs, k, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = measures.orthonormal_prefix(coeffs, k, x)
+            want = _textbook_prefix(coeffs, k, x)
+        assert got.shape == (k + 1,) + np.shape(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_overflow_reaches_inf_and_nan(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = measures.orthonormal_prefix(measures.chebyshev().recurrence(60), 49, 1e200)
+        assert np.isinf(got).any() and np.isnan(got).any()
+
+
 class TestGaussQuadrature:
     def test_chebyshev_two_point_rule(self):
         nodes, weights = measures.chebyshev().gauss_rule(2)

@@ -15,7 +15,6 @@ from opelab.sampler import (
     sample_gue_tridiagonal,
     sample_ope,
     sample_ope_batch,
-    sample_reference,
 )
 
 
@@ -39,31 +38,6 @@ class TestSampleConfiguration:
     def test_count_invariant(self):
         with pytest.raises(Exception):
             SampleConfiguration(np.array([0.1]), 0, "hkpv", 2)
-
-
-class TestReferenceSampler:
-    def test_chebyshev_range(self):
-        draws = [sample_reference(measures.chebyshev(), RngStream(5, i)) for i in range(50)]
-        assert all(-1.0 <= d <= 1.0 for d in draws)
-
-    def test_chebyshev_mean(self):
-        gen = RngStream(11, 0).generator()
-        draws = np.cos(np.pi * gen.random(10 ** 6))
-        assert abs(np.mean(draws)) < 0.005
-
-    def test_varying_gaussian_variance(self):
-        from opelab.sampler import _reference_batch
-        gen = RngStream(3, 0).generator()
-        draws = _reference_batch(measures.varying_gaussian(4), gen, 10 ** 6)
-        assert np.var(draws) == pytest.approx(0.25, rel=0.01)
-
-    def test_generic_grid_inversion(self):
-        # jacobi has no direct transform; the tabulated CDF path serves it
-        mu = measures.jacobi(0.5, 0.5)
-        from opelab.sampler import _reference_batch
-        draws = _reference_batch(mu, RngStream(9, 0).generator(), 20000)
-        # semicircle-type second moment on [-1,1]: 1/4
-        assert np.mean(draws ** 2) == pytest.approx(0.25, abs=0.01)
 
 
 class TestOpeSampler:
