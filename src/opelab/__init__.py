@@ -11,7 +11,6 @@ from .errors import (
     NumericalError,
     OpelabError,
     PreconditionError,
-    ResolutionError,
     SamplingStallError,
 )
 from .measures import Measure, RecurrenceCoefficients, chebyshev, jacobi, legendre, varying_gaussian

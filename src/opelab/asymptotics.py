@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .kernel import CDKernel, _sqrt_weight, kernel_matrix, kernel_sum, kernel_tilde
-from .linstat import ScaledStatistic, TestFunction, exact_scaled_variance, scaled_function
+from .linstat import (ScaledStatistic, TestFunction, _global_rule, exact_scaled_variance,
+                      scaled_function)
 from .measures import Measure, _gl_panels
 
 __all__ = [
@@ -44,14 +45,16 @@ class EquilibriumDensity:
         return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
 
 
-def arcsine_density() -> EquilibriumDensity:
-    """Equilibrium measure of [-1, 1]: 1 / (pi sqrt(1 - x^2))."""
+def arcsine_density(support: tuple[float, float] = (-1.0, 1.0)) -> EquilibriumDensity:
+    """Equilibrium measure of [c - h, c + h]: 1 / (pi sqrt(h^2 - (x - c)^2))."""
+    lo, hi = support
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        return 1.0 / (np.pi * np.sqrt(np.maximum(1.0 - x * x, 0.0)))
+        return 1.0 / (np.pi * np.sqrt(np.maximum(h * h - (x - c) * (x - c), 0.0)))
 
-    return EquilibriumDensity("ArcsineUnitInterval", ev, (-1.0, 1.0))
+    return EquilibriumDensity("Arcsine", ev, (float(lo), float(hi)))
 
 
 def semicircle_density(measure: Measure, n: int) -> EquilibriumDensity:
@@ -134,8 +137,7 @@ def _panel_rule_line(measure: Measure, lo: float, hi: float, n: int):
 
 
 def _restricted_rule(kern: CDKernel, lo: float, hi: float):
-    slo, shi = kern.measure.support
-    if math.isfinite(slo) and math.isfinite(shi):
+    if kern.measure.compact:
         return _panel_rule_theta(kern.measure, lo, hi, kern.n)
     # truncate an unbounded window at the spectral edge plus a wide margin
     coeffs = kern.coeffs
@@ -181,7 +183,7 @@ def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
     size = m if m is not None else 4 * kern.n + 256
     if size < kern.n:
         raise PreconditionError(f"quadrature size {size} below rank {kern.n}")
-    nodes, _, S = kern.measure.gauss_rule_scaled(size, kern.n)
+    nodes, S, _ = _global_rule(kern, size)
 
     def square(x):
         a = kern.design(x) @ S.T
@@ -218,7 +220,7 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
     if delta <= 0.0:
         raise PreconditionError("delta must be positive")
     lo, hi = kern.measure.support
-    if math.isfinite(lo) and math.isfinite(hi) and xstar - delta <= lo and xstar + delta >= hi:
+    if kern.measure.compact and xstar - delta <= lo and xstar + delta >= hi:
         # full support: the reproducing property int K(x*,y)^2 dmu = K(x*,x*)
         return 1.0
     kxx = float(kernel_sum(kern, xstar, xstar))

@@ -149,7 +149,7 @@ def _run_sample(cfg: ExperimentConfig, out: Path) -> list:
     for n in cfg.n_grid:
         rng = RngStream(cfg.seed, 0)
         if cfg.method == "tridiagonal":
-            samples = sample_gue_batch(n, rng, cfg.replicas, cfg.measure.params["n"])
+            samples = sample_gue_batch(n, rng, cfg.replicas, cfg.measure.gaussian_n)
         else:
             samples = sample_ope_batch(CDKernel(cfg.measure, n), rng, cfg.replicas)
         path = out / f"samples_n{n}.csv"
@@ -223,12 +223,11 @@ def _run_universality(cfg: ExperimentConfig, out: Path) -> list:
     for n in cfg.n_grid:
         kern = CDKernel(cfg.measure, n)
         ue = universality_error(kern, xstar)
-        if cfg.measure.family == "varying_gaussian":
-            rho = semicircle_density(cfg.measure, n)
-        else:
-            rho = arcsine_density()
-        lo, hi = rho.support
-        te = totik_error(kern, rho, (0.5 * lo, 0.5 * hi))
+        rho = (arcsine_density(cfg.measure.support) if cfg.measure.compact
+               else semicircle_density(cfg.measure, n))
+        lo, hi = rho.support   # the middle half of the equilibrium support
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        te = totik_error(kern, rho, (mid - 0.5 * half, mid + 0.5 * half))
         rows.append([n, ue, te])
     path = out / "universality.csv"
     _write_csv(path, ["n", "universality_error", "totik_error"], rows)

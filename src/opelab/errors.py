@@ -36,10 +36,6 @@ class NumericalError(OpelabError):
     """An underlying numerical routine failed (eigensolver, determinant)."""
 
 
-class ResolutionError(OpelabError):
-    """Quadrature refinement cap reached without resolving the integrand."""
-
-
 class SamplingStallError(OpelabError):
     """Rejection sampling exceeded its iteration cap."""
 

@@ -22,6 +22,9 @@ __all__ = [
 
 # Below this separation the two-point formula cancels badly; route to the sum.
 _CD_SWITCH = 1e-6
+# Entries a kernel's cache keeps: a rule per quadrature rung and window, and
+# the sampler's envelope.  No benchmark workload holds more than this at once.
+_CACHE_SIZE = 32
 
 
 @dataclass
@@ -31,12 +34,22 @@ class CDKernel:
     measure: Measure
     n: int
     coeffs: RecurrenceCoefficients = field(default=None)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise PreconditionError("kernel rank n must be >= 1")
         if self.coeffs is None or self.coeffs.depth < self.n + 1:
             self.coeffs = self.measure.recurrence(self.n + 1)
+
+    def cached(self, key, build):
+        """The value cached under key, from build() on a miss.  The cache
+        keeps the _CACHE_SIZE newest entries, evicting the oldest first."""
+        if key not in self.cache:
+            if len(self.cache) >= _CACHE_SIZE:
+                del self.cache[next(iter(self.cache))]
+            self.cache[key] = build()
+        return self.cache[key]
 
     def design(self, x) -> np.ndarray:
         """Feature matrix (p_0(x_i), ..., p_{n-1}(x_i)) row per point."""

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError, ResolutionError
+from .errors import NumericalError, PreconditionError
 from .kernel import CDKernel
 from .measures import _gl_panels
 
@@ -108,12 +108,6 @@ def eval_scaled_statistic(sample, s: ScaledStatistic, n: int) -> float:
 # Quadrature rules
 # ---------------------------------------------------------------------------
 
-def _cache(kern: CDKernel) -> dict:
-    if not hasattr(kern, "_linstat_cache"):
-        kern._linstat_cache = {}
-    return kern._linstat_cache
-
-
 def _with_diagonal(nodes: np.ndarray, S: np.ndarray):
     # w_i K(x_i, x_i) = sum_j S_ij^2
     return nodes, S, np.einsum("ij,ij->i", S, S)
@@ -122,14 +116,13 @@ def _with_diagonal(nodes: np.ndarray, S: np.ndarray):
 def _global_rule(kern: CDKernel, m: int):
     """m-point Gauss rule wrt mu as (nodes, S, kd) with the sqrt-weight-scaled
     design S[i, j] = sqrt(w_i) p_j(x_i) and its row norms kd_i = w_i K(x_i, x_i),
-    cached per kernel.  The scaled form keeps every entry O(1) for unbounded
+    cached on the kernel.  The scaled form keeps every entry O(1) for unbounded
     weights, where the raw design overflows while the weights underflow."""
-    c = _cache(kern)
-    key = ("global", m)
-    if key not in c:
+    def build():
         nodes, _, S = kern.measure.gauss_rule_scaled(m, kern.n)
-        c[key] = _with_diagonal(nodes, S)
-    return c[key]
+        return _with_diagonal(nodes, S)
+
+    return kern.cached(("global", m), build)
 
 
 def _window_breakpoints(lo: float, hi: float, extra: Sequence[float]) -> np.ndarray:
@@ -139,21 +132,19 @@ def _window_breakpoints(lo: float, hi: float, extra: Sequence[float]) -> np.ndar
 
 def _window_rule(kern: CDKernel, lo: float, hi: float, extra: Sequence[float], npanels: int):
     """Composite Gauss-Legendre rule on [lo, hi] with panels split at
-    breakpoints, as (nodes, S, kd) like _global_rule."""
-    c = _cache(kern)
-    key = ("window", round(lo, 15), round(hi, 15), tuple(extra), npanels)
-    if key in c:
-        return c[key]
-    brk = _window_breakpoints(lo, hi, extra)
-    edges = [brk[0]]
-    total = hi - lo
-    for a, b in zip(brk[:-1], brk[1:]):
-        k = max(1, int(round(npanels * (b - a) / total)))
-        edges.extend(np.linspace(a, b, k + 1)[1:])
-    nodes, weights = _gl_panels(np.asarray(edges))
-    weights = weights * kern.measure.weight(nodes)
-    c[key] = _with_diagonal(nodes, np.sqrt(weights)[:, None] * kern.design(nodes))
-    return c[key]
+    breakpoints, as (nodes, S, kd) like _global_rule, cached on the kernel."""
+    def build():
+        brk = _window_breakpoints(lo, hi, extra)
+        edges = [brk[0]]
+        total = hi - lo
+        for a, b in zip(brk[:-1], brk[1:]):
+            k = max(1, int(round(npanels * (b - a) / total)))
+            edges.extend(np.linspace(a, b, k + 1)[1:])
+        nodes, weights = _gl_panels(np.asarray(edges))
+        weights = weights * kern.measure.weight(nodes)
+        return _with_diagonal(nodes, np.sqrt(weights)[:, None] * kern.design(nodes))
+
+    return kern.cached(("window", round(lo, 15), round(hi, 15), tuple(extra), npanels), build)
 
 
 def _window_for(kern: CDKernel, f: TestFunction):
@@ -164,7 +155,7 @@ def _window_for(kern: CDKernel, f: TestFunction):
     wlo, whi = f.support
     if not (math.isfinite(wlo) and math.isfinite(whi)) or whi <= wlo:
         return None
-    if math.isfinite(lo) and math.isfinite(hi):
+    if kern.measure.compact:
         margin = 0.02 * (hi - lo)
         wlo, whi = max(wlo, lo + margin), min(whi, hi - margin)
         if whi <= wlo:
@@ -254,11 +245,7 @@ def exact_variance(kern: CDKernel, f: TestFunction, m: int | None = None) -> flo
 
 def exact_scaled_variance(kern: CDKernel, s: ScaledStatistic, m: int | None = None) -> float:
     """Var X_{f,alpha,x*} with window-local quadrature refinement."""
-    ft = scaled_function(s, kern.n)
-    win = _window_for(kern, ft)
-    if win is not None and _window_panels(kern, win, 0) * 16 < 30:
-        raise ResolutionError("window contains fewer than 30 quadrature nodes")
-    return exact_variance(kern, ft, m)
+    return exact_variance(kern, scaled_function(s, kern.n), m)
 
 
 def log_mgf(kern: CDKernel, f: TestFunction, t: float, m: int | None = None) -> float:

@@ -6,6 +6,8 @@ All polynomial systems use the orthonormal three-term recurrence
 
 so the leading-coefficient ratio gamma_{n-1}/gamma_n equals b_n.  Every measure
 is a probability measure; discretized measures are normalized at construction.
+Everything that depends on the family of a measure is its entry in the table
+FAMILIES at the end of this module.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ __all__ = [
     "varying_gaussian",
     "discretized",
     "register_weight",
-    "classical_recurrence",
+    "Family",
+    "FAMILIES",
     "stieltjes_recurrence",
     "orthonormal_prefix",
     "design_matrix",
-    "gauss_quadrature",
     "gauss_quadrature_scaled",
 ]
 
@@ -120,29 +122,6 @@ def _check_rule_size(m: int, ncols: int, depth: int | None = None) -> None:
         raise PreconditionError(f"need 1 <= m <= depth, got m={m}, depth={depth}")
 
 
-def gauss_quadrature(coeffs: RecurrenceCoefficients, m: int):
-    """m-point Gauss rule for the underlying probability measure (Golub-Welsch).
-
-    Exact for polynomials of degree <= 2m-1; weights are positive and sum to 1.
-    Each weight is the square of an eigenvector component that is accurate
-    only in absolute terms (about 1e-16 on sqrt(w_i)), so a small weight need
-    not be accurate relative to itself: at m = 50 for varying_gaussian(16) the
-    weights near 1e-37 are off by up to 1 %.  Never multiply them by
-    forward-recurrence values p_j(x_i), which are huge exactly there;
-    integrate polynomial products with the scaled design of
-    gauss_quadrature_scaled, or weight the nodes by the Christoffel numbers
-    1 / sum_{j<m} p_j(x_i)^2 from the recurrence, instead.
-    """
-    if m < 1 or m > coeffs.depth:
-        raise PreconditionError(f"need 1 <= m <= depth, got m={m}, depth={coeffs.depth}")
-    try:
-        vals, vecs = eigh_tridiagonal(coeffs.diag[:m], coeffs.offdiag[: m - 1])
-    except Exception as exc:  # pragma: no cover - eigensolver failures are rare
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    weights = vecs[0, :] ** 2
-    return vals, weights
-
-
 def gauss_quadrature_scaled(coeffs: RecurrenceCoefficients, m: int, ncols: int):
     """m-point Gauss rule plus the sqrt-weight-scaled design matrix, by the
     Golub-Welsch eigensolve of the Jacobi matrix (Math. Comp. 23, 1969).
@@ -153,8 +132,15 @@ def gauss_quadrature_scaled(coeffs: RecurrenceCoefficients, m: int, ncols: int):
     even where the weights underflow and the polynomial values overflow (e.g.
     Gaussian-type weights at large m), which the forward recurrence cannot
     guarantee.  The columns of S are rows of an orthogonal matrix, so
-    S^T S = I for any recurrence.  Measure.gauss_rule_scaled uses closed forms
-    for the families in _CLOSED_FORM_RULES and this routine for the others.
+    S^T S = I for any recurrence.  Measure.gauss_rule_scaled uses this
+    routine for every family without a closed-form rule in FAMILIES.
+
+    Each weight is the square of an eigenvector component that is accurate
+    only in absolute terms (about 1e-16 on sqrt(w_i)), so a small weight need
+    not be accurate relative to itself: at m = 50 for varying_gaussian(16) the
+    weights near 1e-37 are off by up to 1 %.  Never multiply them by
+    forward-recurrence values p_j(x_i), which are huge exactly there; use S,
+    or the Christoffel numbers 1 / sum_{j<m} p_j(x_i)^2 from the recurrence.
     """
     _check_rule_size(m, ncols, coeffs.depth)
     try:
@@ -187,11 +173,6 @@ def _chebyshev_rule(m: int, ncols: int):
     S *= math.sqrt(2.0 / m)
     S[:, 0] = math.sqrt(1.0 / m)
     return nodes, np.full(m, 1.0 / m), S
-
-
-# Gauss rules with a closed form, by family; every other family is solved
-# by gauss_quadrature_scaled.  Each entry maps (m, ncols) to (nodes, weights, S).
-_CLOSED_FORM_RULES = {"chebyshev1st": _chebyshev_rule}
 
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by every composite panel rule.
@@ -230,47 +211,22 @@ def _jacobi_coeffs(depth: int, a: float, b: float) -> RecurrenceCoefficients:
     diag = np.empty(depth)
     beta = np.empty(depth)
     diag[0] = (b - a) / (a + b + 2.0)
-    if depth >= 1:
-        beta[0] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    beta[0] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
     for k in range(1, depth):
         s = 2.0 * k + a + b
         diag[k] = (b * b - a * a) / (s * (s + 2.0))
-        if k >= 1:
-            kk = k + 1  # beta index: beta[k] = beta_{k+1} monic
-            ss = 2.0 * kk + a + b
-            beta[k] = (
-                4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
-                / (ss * ss * (ss + 1.0) * (ss - 1.0))
-            )
+        kk = k + 1  # beta index: beta[k] = beta_{k+1} monic
+        ss = 2.0 * kk + a + b
+        beta[k] = (
+            4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
+            / (ss * ss * (ss + 1.0) * (ss - 1.0))
+        )
     return RecurrenceCoefficients(diag, np.sqrt(beta))
 
 
 def _varying_gaussian_coeffs(depth: int, n: int) -> RecurrenceCoefficients:
     k = np.arange(1, depth + 1, dtype=float)
     return RecurrenceCoefficients(np.zeros(depth), np.sqrt(k / float(n)))
-
-
-_CLASSICAL = {
-    "chebyshev1st": lambda depth, params: _chebyshev_coeffs(depth),
-    "legendre": lambda depth, params: _legendre_coeffs(depth),
-    "jacobi": lambda depth, params: _jacobi_coeffs(
-        depth, params["a_exp"], params["b_exp"]
-    ),
-    "varying_gaussian": lambda depth, params: _varying_gaussian_coeffs(
-        depth, params["n"]
-    ),
-}
-
-
-def classical_recurrence(family: str, depth: int, params: dict | None = None) -> RecurrenceCoefficients:
-    """Exact orthonormal recurrence coefficients for a classical family."""
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
-    try:
-        builder = _CLASSICAL[family]
-    except KeyError:
-        raise ConfigurationError(f"no closed-form recurrence for family {family!r}")
-    return builder(depth, params or {})
 
 
 # ---------------------------------------------------------------------------
@@ -382,43 +338,35 @@ class Measure:
     _diag: np.ndarray = field(default=None, repr=False, compare=False)
     _off: np.ndarray = field(default=None, repr=False, compare=False)
     _norm: float = field(default=1.0, repr=False, compare=False)
-    _rules: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def spec(self) -> "Family":
+        try:
+            return FAMILIES[self.family]
+        except KeyError:
+            raise ConfigurationError(f"unknown family {self.family!r}") from None
+
+    @property
+    def compact(self) -> bool:
+        return math.isfinite(self.support[0]) and math.isfinite(self.support[1])
+
+    @property
+    def gaussian_n(self) -> int | None:
+        """N of a Gaussian weight exp(-N x^2 / 2); None for other weights."""
+        get = self.spec.gaussian_n
+        return None if get is None else get(self)
 
     # -- weight density -----------------------------------------------------
 
     def weight(self, x) -> np.ndarray:
         """Density of the (normalized) measure with respect to Lebesgue."""
-        xv = np.asarray(x, dtype=float)
-        if self.family == "chebyshev1st":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = 1.0 / (math.pi * np.sqrt(1.0 - xv * xv))
-            return np.where(np.abs(xv) < 1.0, val, 0.0)
-        if self.family == "legendre":
-            return np.where(np.abs(xv) <= 1.0, 0.5, 0.0)
-        if self.family == "jacobi":
-            return np.exp(self.log_weight(xv))
-        if self.family == "varying_gaussian":
-            n = self.params["n"]
-            return math.sqrt(n / (2.0 * math.pi)) * np.exp(-0.5 * n * xv * xv)
-        if self.family == "discretized":
-            ev = _WEIGHT_REGISTRY[self.params["weight_key"]]
-            lo, hi = self.support
-            inside = (xv >= lo) & (xv <= hi)
-            return np.where(inside, np.asarray(ev(xv), dtype=float) / self._norm, 0.0)
-        raise ConfigurationError(f"unknown family {self.family!r}")
+        return self.spec.weight(self, np.asarray(x, dtype=float))
 
     def log_weight(self, x) -> np.ndarray:
         """log of the density, computed stably (useful for large-n Gaussian)."""
         xv = np.asarray(x, dtype=float)
-        if self.family == "varying_gaussian":
-            n = self.params["n"]
-            return 0.5 * math.log(n / (2.0 * math.pi)) - 0.5 * n * xv * xv
-        if self.family == "jacobi":
-            a, b = self.params["a_exp"], self.params["b_exp"]
-            logc = (a + b + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lw = a * np.log(1.0 - xv) + b * np.log(1.0 + xv) - logc
-            return np.where(np.abs(xv) < 1.0, lw, -np.inf)
+        if self.spec.log_weight is not None:
+            return self.spec.log_weight(self, xv)
         with np.errstate(divide="ignore"):
             return np.log(self.weight(xv))
 
@@ -431,20 +379,11 @@ class Measure:
         1 - x*x loses all digits as theta nears 0 or pi.
         """
         th = np.asarray(theta, dtype=float)
-        if self.family == "chebyshev1st":
-            return np.full(th.shape, 1.0 / math.pi)
-        if self.family == "jacobi":
-            a, b = self.params["a_exp"], self.params["b_exp"]
-            with np.errstate(divide="ignore"):
-                return (np.sin(0.5 * th) ** (2.0 * a + 1.0) * np.cos(0.5 * th) ** (2.0 * b + 1.0)
-                        * math.exp(-betaln(a + 1.0, b + 1.0)))
+        if self.spec.theta_density is not None:
+            return self.spec.theta_density(self, th)
         lo, hi = self.support
         half = 0.5 * (hi - lo)
         return self.weight(0.5 * (hi + lo) + half * np.cos(th)) * half * np.sin(th)
-
-    @property
-    def compact(self) -> bool:
-        return math.isfinite(self.support[0]) and math.isfinite(self.support[1])
 
     # -- recurrence coefficients, lazily extended ---------------------------
 
@@ -452,48 +391,25 @@ class Measure:
         if depth < 1:
             raise PreconditionError("depth must be >= 1")
         if self._diag is None or len(self._diag) < depth:
-            target = max(depth, 16)
-            if self.family == "discretized":
-                grid = max(int(self.params.get("grid", 0)), 50 * target)
-                coeffs = stieltjes_recurrence(
-                    self.weight, self.support, target, grid,
-                    scale=self.params.get("scale", 1.0),
-                )
-            else:
-                coeffs = classical_recurrence(self.family, target, self.params)
+            coeffs = self.spec.recurrence(self, max(depth, 16))
             self._diag, self._off = coeffs.diag, coeffs.offdiag
         return RecurrenceCoefficients(self._diag[:depth], self._off[:depth])
 
     def gauss_rule(self, m: int):
-        """Cached m-point Gauss rule with respect to the measure, as
-        (nodes, weights) with the nodes ascending: in closed form for the
-        families in _CLOSED_FORM_RULES (Chebyshev), else by Golub-Welsch.
-
-        Small weights are accurate only in absolute terms (see
-        gauss_quadrature); use gauss_rule_scaled to integrate products of
-        polynomial values.
-        """
-        if m not in self._rules:
-            closed = _CLOSED_FORM_RULES.get(self.family)
-            if closed is not None:
-                self._rules[m] = closed(m, 1)[:2]
-            else:
-                self._rules[m] = gauss_quadrature(self.recurrence(m), m)
-        return self._rules[m]
+        """m-point Gauss rule with respect to the measure, as (nodes, weights)
+        with the nodes ascending.  Small weights are accurate only in absolute
+        terms (see gauss_quadrature_scaled); use gauss_rule_scaled to
+        integrate products of polynomial values."""
+        return self.gauss_rule_scaled(m, 1)[:2]
 
     def gauss_rule_scaled(self, m: int, ncols: int):
-        """Cached m-point Gauss rule with the sqrt-weight-scaled design, as
+        """m-point Gauss rule with the sqrt-weight-scaled design, as
         (nodes, weights, S) in the conventions of gauss_quadrature_scaled:
-        in closed form for the families in _CLOSED_FORM_RULES (Chebyshev),
-        else by the Golub-Welsch eigensolve."""
-        key = ("scaled", m, ncols)
-        if key not in self._rules:
-            closed = _CLOSED_FORM_RULES.get(self.family)
-            if closed is not None:
-                self._rules[key] = closed(m, ncols)
-            else:
-                self._rules[key] = gauss_quadrature_scaled(self.recurrence(m), m, ncols)
-        return self._rules[key]
+        in closed form where the family has one, else by the Golub-Welsch
+        eigensolve.  Not cached: CDKernel caches the rules it uses."""
+        if self.spec.rule is not None:
+            return self.spec.rule(m, ncols)
+        return gauss_quadrature_scaled(self.recurrence(m), m, ncols)
 
     # -- serialization ------------------------------------------------------
 
@@ -502,31 +418,29 @@ class Measure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measure":
+        """The measure a config names; ConfigurationError on an unknown family,
+        an unknown, missing or ill-typed parameter, or a bad value."""
         family = obj.get("family")
+        spec = FAMILIES.get(family) if isinstance(family, str) else None
+        if spec is None:
+            raise ConfigurationError(f"unknown family {family!r}")
         params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigurationError(f"params must be a JSON object, got {params!r}")
+        args = {}
+        for key, value in params.items():
+            kind = spec.params.get(key)
+            if kind is None:
+                raise ConfigurationError(f"family {family!r} has no parameter {key!r}")
+            if kind in (int, float):
+                value = config_number(value, f"params.{key}", integer=kind is int)
+            elif not isinstance(value, kind):
+                raise ConfigurationError(f"params.{key} must be a {kind.__name__}, got {value!r}")
+            args[key] = value
         try:
-            if family == "chebyshev1st":
-                return chebyshev()
-            if family == "legendre":
-                return legendre()
-            if family == "jacobi":
-                return jacobi(config_number(params["a_exp"], "params.a_exp"),
-                              config_number(params["b_exp"], "params.b_exp"))
-            if family == "varying_gaussian":
-                return varying_gaussian(config_number(params["n"], "params.n", integer=True))
-            if family == "discretized":
-                return discretized(
-                    params["weight_key"],
-                    tuple(params["support"]),
-                    grid=config_number(params.get("grid", 1000), "params.grid", integer=True),
-                    scale=config_number(params.get("scale", 1.0), "params.scale"),
-                )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"family {family!r} needs parameter {exc.args[0]!r}") from None
+            return spec.factory(**args)
         except (TypeError, ValueError, PreconditionError) as exc:
             raise ConfigurationError(f"bad parameters for family {family!r}: {exc}") from None
-        raise ConfigurationError(f"unknown family {family!r}")
 
 
 def chebyshev() -> Measure:
@@ -579,3 +493,98 @@ def discretized(
     )
     m._norm = mass
     return m
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that depends on the family of a measure.
+
+    The callables take the Measure first.  params maps each config parameter
+    to its type (int, float, str or list); factory takes them by name.
+    log_weight defaults to log(weight) and theta_density to
+    weight(x(theta)) * half * sin(theta).  rule is a closed-form Gauss rule
+    (m, ncols) -> (nodes, weights, S) like gauss_quadrature_scaled.
+    gaussian_n is the N of a Gaussian weight exp(-N x^2 / 2), the scale of
+    the HKPV line coordinate and of the tridiagonal model.  check_hkpv raises
+    ConfigurationError where HKPV's arccos coordinate leaves the density
+    unbounded.
+    """
+
+    factory: Callable
+    recurrence: Callable
+    weight: Callable
+    params: dict = field(default_factory=dict)
+    log_weight: Callable | None = None
+    theta_density: Callable | None = None
+    rule: Callable | None = None
+    gaussian_n: Callable | None = None
+    check_hkpv: Callable | None = None
+
+
+def _chebyshev_weight(mu: Measure, x: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = 1.0 / (math.pi * np.sqrt(1.0 - x * x))
+    return np.where(np.abs(x) < 1.0, val, 0.0)
+
+
+def _jacobi_log_weight(mu: Measure, x: np.ndarray) -> np.ndarray:
+    a, b = mu.params["a_exp"], mu.params["b_exp"]
+    logc = (a + b + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw = a * np.log(1.0 - x) + b * np.log(1.0 + x) - logc
+    return np.where(np.abs(x) < 1.0, lw, -np.inf)
+
+
+def _jacobi_theta_density(mu: Measure, th: np.ndarray) -> np.ndarray:
+    a, b = mu.params["a_exp"], mu.params["b_exp"]
+    with np.errstate(divide="ignore"):
+        return (np.sin(0.5 * th) ** (2.0 * a + 1.0) * np.cos(0.5 * th) ** (2.0 * b + 1.0)
+                * math.exp(-betaln(a + 1.0, b + 1.0)))
+
+
+def _jacobi_check_hkpv(mu: Measure) -> None:
+    # theta = arccos x turns (1 -+ x)^e into theta^(2e+1), unbounded for e < -1/2
+    if min(mu.params["a_exp"], mu.params["b_exp"]) < -0.5:
+        raise ConfigurationError(
+            "HKPV needs Jacobi exponents >= -1/2: below that the arccos-coordinate "
+            f"density is unbounded, got {mu.params}")
+
+
+def _discretized_weight(mu: Measure, x: np.ndarray) -> np.ndarray:
+    ev = _WEIGHT_REGISTRY[mu.params["weight_key"]]
+    lo, hi = mu.support
+    inside = (x >= lo) & (x <= hi)
+    return np.where(inside, np.asarray(ev(x), dtype=float) / mu._norm, 0.0)
+
+
+FAMILIES: dict[str, Family] = {
+    "chebyshev1st": Family(
+        chebyshev, lambda mu, depth: _chebyshev_coeffs(depth), _chebyshev_weight,
+        theta_density=lambda mu, th: np.full(th.shape, 1.0 / math.pi), rule=_chebyshev_rule),
+    "legendre": Family(
+        legendre, lambda mu, depth: _legendre_coeffs(depth),
+        lambda mu, x: np.where(np.abs(x) <= 1.0, 0.5, 0.0)),
+    "jacobi": Family(
+        jacobi, lambda mu, depth: _jacobi_coeffs(depth, mu.params["a_exp"], mu.params["b_exp"]),
+        lambda mu, x: np.exp(_jacobi_log_weight(mu, x)), {"a_exp": float, "b_exp": float},
+        log_weight=_jacobi_log_weight, theta_density=_jacobi_theta_density,
+        check_hkpv=_jacobi_check_hkpv),
+    "varying_gaussian": Family(
+        varying_gaussian, lambda mu, depth: _varying_gaussian_coeffs(depth, mu.params["n"]),
+        lambda mu, x: (math.sqrt(mu.params["n"] / (2.0 * math.pi))
+                       * np.exp(-0.5 * mu.params["n"] * x * x)),
+        {"n": int},
+        log_weight=lambda mu, x: (0.5 * math.log(mu.params["n"] / (2.0 * math.pi))
+                                  - 0.5 * mu.params["n"] * x * x),
+        gaussian_n=lambda mu: mu.params["n"]),
+    "discretized": Family(
+        discretized,
+        lambda mu, depth: stieltjes_recurrence(mu.weight, mu.support, depth,
+                                               max(mu.params["grid"], 50 * depth),
+                                               scale=mu.params["scale"]),
+        _discretized_weight, {"weight_key": str, "support": list, "grid": int, "scale": float}),
+}

@@ -27,7 +27,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, NumericalError, PreconditionError, SamplingStallError
 from .kernel import CDKernel
-from .measures import Measure
+from .measures import Measure, design_matrix
 
 __all__ = [
     "RngStream",
@@ -100,23 +100,20 @@ def check_sampleable(measure: Measure, method: str = "hkpv") -> None:
     """ConfigurationError unless `method` can sample the ensemble of `measure`.
 
     HKPV needs a bounded marginal density in its proposal coordinate: on
-    compact supports theta = arccos x turns a Jacobi endpoint factor
-    (1 -+ x)^e into theta^(2e+1), unbounded for e < -1/2; on the line only
-    the varying Gaussian weight has a proposal coordinate.  The tridiagonal
-    model exists only for the varying Gaussian weight.
+    compact supports theta = arccos x, where the family's check_hkpv rejects
+    weights whose density stays unbounded; on the line only a Gaussian
+    weight exp(-N x^2 / 2) has a proposal coordinate.  The tridiagonal model
+    exists only for a Gaussian weight.
     """
-    fam = measure.family
     if method == "tridiagonal":
-        if fam != "varying_gaussian":
-            raise ConfigurationError("tridiagonal method requires varying_gaussian")
+        if measure.gaussian_n is None:
+            raise ConfigurationError(
+                f"tridiagonal method needs a Gaussian weight, not family {measure.family!r}")
         return
-    lo, hi = measure.support
-    if not (math.isfinite(lo) and math.isfinite(hi)) and fam != "varying_gaussian":
-        raise ConfigurationError(f"cannot sample family {fam!r} on unbounded support")
-    if fam == "jacobi" and min(measure.params["a_exp"], measure.params["b_exp"]) < -0.5:
-        raise ConfigurationError(
-            "HKPV needs Jacobi exponents >= -1/2: below that the arccos-coordinate "
-            f"density is unbounded, got {measure.params}")
+    if not measure.compact and measure.gaussian_n is None:
+        raise ConfigurationError(f"cannot sample family {measure.family!r} on unbounded support")
+    if measure.spec.check_hkpv is not None:
+        measure.spec.check_hkpv(measure)
 
 
 class _MarginalEnvelope:
@@ -133,15 +130,16 @@ class _MarginalEnvelope:
 
     def __init__(self, kern: CDKernel):
         check_sampleable(kern.measure)
-        self.kern = kern
+        # no reference to kern, whose cache holds the envelope
+        self.measure, self.coeffs, self.n = kern.measure, kern.coeffs, kern.n
         n = kern.n
         lo, hi = kern.measure.support
-        self.compact = math.isfinite(lo) and math.isfinite(hi)
+        self.compact = kern.measure.compact
         if self.compact:
             self.half, self.mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
             self.u_lo, self.u_hi = 0.0, np.pi
         else:
-            nn = kern.measure.params["n"]
+            nn = kern.measure.gaussian_n
             # spectral edge at 2*sqrt(n/nn) in x units; pad well past it
             edge = 2.0 * math.sqrt(n / nn)
             pad = 10.0 / math.sqrt(nn)
@@ -175,10 +173,9 @@ class _MarginalEnvelope:
     def _density(self, u: np.ndarray):
         """(x, design at x, marginal density of x in the u coordinate with Jacobian)."""
         x = self._to_x(u)
-        P = self.kern.design(x)
+        P = design_matrix(self.coeffs, self.n, x)
         kdiag = np.einsum("ij,ij->i", P, P)
-        measure = self.kern.measure
-        w = measure.theta_density(u) if self.compact else measure.weight(x)
+        w = self.measure.theta_density(u) if self.compact else self.measure.weight(x)
         return x, P, kdiag * w
 
     def propose(self, gen: np.random.Generator, size: int):
@@ -194,11 +191,7 @@ class _MarginalEnvelope:
 
 
 def _envelope(kern: CDKernel) -> _MarginalEnvelope:
-    env = getattr(kern, "_sampler_envelope", None)
-    if env is None:
-        env = _MarginalEnvelope(kern)
-        kern._sampler_envelope = env
-    return env
+    return kern.cached(("envelope",), lambda: _MarginalEnvelope(kern))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opelab import cli
+from opelab import cli, measures
 from opelab.errors import ConfigurationError
 from opelab.sampler import RngStream, sample_gue_batch
 
@@ -97,12 +97,16 @@ class TestMainEntry:
         {"experiment": "sample", "method": "tridiagonal"},
         {"measure": {"family": "varying_gaussian", "params": {"n": 2.5}}},
         {"measure": {"family": "varying_gaussian", "params": {"n": True}}},
+        {"measure": {"family": "varying_gaussian", "params": {"n": 50, "N": 10}}},
+        {"measure": {"family": "legendre", "params": {"a_exp": 2}}},
+        {"measure": {"family": "chebyshev1st", "params": 5}},
     ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
             "varying_gaussian_n_0", "measure_not_object", "statistic_not_object",
             "n_grid_not_numbers", "n_grid_not_integers", "epsilons_not_list",
             "replicas_not_number", "sample_jacobi_a_exp_below_-1/2",
             "tridiagonal_on_chebyshev", "varying_gaussian_n_not_integer",
-            "varying_gaussian_n_bool"])
+            "varying_gaussian_n_bool", "varying_gaussian_unknown_param",
+            "legendre_unknown_param", "params_not_object"])
     def test_bad_config_exits_2_up_front(self, tmp_path, change):
         payload = dict(BASE, **change)
         path = write_config(tmp_path, payload)
@@ -244,3 +248,21 @@ class TestMainEntry:
         assert lines[0] == "n,universality_error,totik_error"
         _, ue, te = lines[1].split(",")
         assert float(ue) < 0.5 and float(te) < 0.5
+
+    @pytest.mark.parametrize("lo", [-2.0, 0.0])
+    def test_universality_compares_with_the_arcsine_law_of_the_support(self, tmp_path, lo):
+        """A semicircle weight on [lo, lo + 4]: the totik error against the
+        arcsine law of that interval halves as n doubles."""
+        c = lo + 2.0
+        measures.register_weight(f"semicircle_at_{c}",
+                                 lambda x: np.sqrt(np.maximum(4.0 - (x - c) ** 2, 0.0)))
+        measure = {"family": "discretized",
+                   "params": {"weight_key": f"semicircle_at_{c}", "support": [lo, lo + 4.0]}}
+        payload = dict(BASE, experiment="universality", n_grid=[10, 20, 40], measure=measure,
+                       statistic={"f": "identity", "xstar": c})
+        out = tmp_path / "out"
+        assert cli.main(["universality", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+        rows = (out / "universality.csv").read_text().splitlines()[1:]
+        te = [float(row.split(",")[2]) for row in rows]
+        assert te[1] < 0.55 * te[0] and te[2] < 0.55 * te[1] and te[2] < 0.01

@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from opelab import functions, linstat, measures
 from opelab.errors import PreconditionError
-from opelab.kernel import CDKernel
+from opelab.kernel import _CACHE_SIZE, CDKernel
 from opelab.linstat import (
     ScaledStatistic,
     TestFunction,
@@ -22,7 +23,7 @@ from opelab.linstat import (
     mgf,
     scaled_function,
 )
-from opelab.sampler import SampleConfiguration
+from opelab.sampler import RngStream, SampleConfiguration, _envelope, sample_ope
 
 ONE = TestFunction(lambda x: np.ones_like(x), sup_norm=1.0, name="one")
 IDENTITY = functions.get("identity")
@@ -295,3 +296,30 @@ class TestJointLadder:
         sizes.clear()
         assert linstat._ladder(kern, COS60, None, (0.2, "variance", "mean")) == alone[::-1]
         assert sizes == rungs[-1]   # one rule request per rung
+
+
+class TestRuleCache:
+    """Every rule a kernel uses lives in its one bounded cache."""
+
+    def test_sweep_stays_bounded_and_equals_fresh_kernels(self):
+        n = 30
+        kern = CDKernel(measures.chebyshev(), n)
+        xs = np.linspace(-0.9, 0.9, 201)
+        sweep = [exact_scaled_variance(kern, ScaledStatistic(BUMP, 0.5, float(x))) for x in xs]
+        assert len(kern.cache) == _CACHE_SIZE   # full, so entries were evicted
+        for i in range(0, len(xs), 20):
+            stat = ScaledStatistic(BUMP, 0.5, float(xs[i]))
+            assert exact_scaled_variance(CDKernel(measures.chebyshev(), n), stat) == sweep[i]
+            assert exact_scaled_variance(kern, stat) == sweep[i]   # rebuilt after eviction
+
+    def test_dropping_the_kernel_frees_its_rules(self):
+        mu = measures.legendre()
+        kern = CDKernel(mu, 10)
+        var = exact_variance(kern, SQUARE)
+        sample_ope(kern, RngStream(1, 0))
+        held = [weakref.ref(linstat._global_rule(kern, 2 * 10 + 64)[1]),
+                weakref.ref(_envelope(kern).heights)]
+        assert all(ref() is not None for ref in held)
+        del kern   # freed at once, with no cycle left for the collector
+        assert all(ref() is None for ref in held)
+        assert exact_variance(CDKernel(mu, 10), SQUARE) == var

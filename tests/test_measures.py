@@ -45,12 +45,12 @@ class TestClassicalRecurrences:
         assert np.allclose(co.offdiag, np.sqrt(k / n))
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ConfigurationError):
-            measures.classical_recurrence("hermite_physicists", 4)
+        with pytest.raises(ConfigurationError, match="unknown family"):
+            measures.Measure.from_json({"family": "hermite_physicists"})
 
     def test_bad_depth_rejected(self):
         with pytest.raises(PreconditionError):
-            measures.classical_recurrence("legendre", 0)
+            measures.legendre().recurrence(0)
 
 
 class TestRecurrenceCoefficients:
@@ -137,7 +137,7 @@ class TestGaussQuadrature:
     def test_design_orthonormality(self, m):
         """The Gauss rule reproduces the Gram identity P^T W P = I."""
         mu = measures.legendre()
-        nodes, weights = measures.gauss_quadrature(mu.recurrence(m + 2), m + 2)
+        nodes, weights, _ = measures.gauss_quadrature_scaled(mu.recurrence(m + 2), m + 2, 1)
         P = measures.design_matrix(mu.recurrence(m + 2), m, nodes)
         gram = P.T @ (weights[:, None] * P)
         assert np.allclose(gram, np.eye(m), atol=1e-10)
@@ -215,6 +215,16 @@ class TestStieltjes:
                                           (-1.0, 1.0), depth=10, grid=100)
 
 
+def _table_examples():
+    """One measure per family of the table."""
+    measures.register_weight("semicircle_r2", lambda x: np.sqrt(np.maximum(4.0 - x * x, 0.0)))
+    examples = [measures.chebyshev(), measures.legendre(), measures.jacobi(0.25, -0.25),
+                measures.varying_gaussian(7),
+                measures.discretized("semicircle_r2", (-2.0, 2.0), grid=2000)]
+    assert sorted(mu.family for mu in examples) == sorted(measures.FAMILIES)
+    return examples
+
+
 class TestMeasureObject:
     def test_weight_normalization(self):
         for mu in (measures.chebyshev(), measures.legendre(), measures.jacobi(0.5, 1.5)):
@@ -230,9 +240,13 @@ class TestMeasureObject:
 
     def test_theta_density(self):
         theta = np.linspace(0.05, math.pi - 0.05, 41)
-        for mu in (measures.chebyshev(), measures.legendre(), measures.jacobi(0.5, 1.5),
-                   measures.jacobi(-0.5, 0.25)):
-            want = mu.weight(np.cos(theta)) * np.sin(theta)
+        compact = [mu for mu in _table_examples() if mu.compact]
+        assert {mu.family for mu in compact} == {"chebyshev1st", "legendre", "jacobi",
+                                                "discretized"}
+        for mu in compact + [measures.jacobi(0.5, 1.5), measures.jacobi(-0.5, 0.25)]:
+            lo, hi = mu.support
+            half = 0.5 * (hi - lo)
+            want = mu.weight(0.5 * (lo + hi) + half * np.cos(theta)) * half * np.sin(theta)
             assert np.allclose(mu.theta_density(theta), want, rtol=1e-10, atol=0.0)
         # next to the ends 1 - x^2 cancels in x; the theta form keeps every digit
         ends = np.array([1e-9, math.pi - 1e-9])
@@ -244,11 +258,21 @@ class TestMeasureObject:
                            s ** (2 * a + 1) * c ** (2 * b + 1) / beta, rtol=1e-12, atol=0.0)
 
     def test_json_round_trip(self):
-        for mu in (measures.chebyshev(), measures.jacobi(0.25, -0.25),
-                   measures.varying_gaussian(7)):
+        for mu in _table_examples():
             back = measures.Measure.from_json(mu.to_json())
             assert back.family == mu.family
             assert back.params == mu.params
+            assert back.support == mu.support
+
+    @pytest.mark.parametrize("params", [
+        {"weight_key": 3, "support": [-1, 1]},
+        {"weight_key": "semicircle_r2", "support": 2},
+        {"weight_key": "semicircle_r2", "support": [-1, 0, 1]},
+    ], ids=["weight_key_not_string", "support_not_list", "support_not_pair"])
+    def test_discretized_schema(self, params):
+        _table_examples()   # registers the weight key
+        with pytest.raises(ConfigurationError):
+            measures.Measure.from_json({"family": "discretized", "params": params})
 
     def test_discretized_requires_registration(self):
         with pytest.raises(ConfigurationError):
