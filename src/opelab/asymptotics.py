@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .kernel import CDKernel, _sqrt_weight, kernel_matrix, kernel_sum, kernel_tilde
+from .kernel import CDKernel, _cross, _sqrt_weight, kernel_matrix, kernel_tilde
 from .linstat import (ScaledStatistic, TestFunction, _global_rule, exact_scaled_variance,
                       scaled_function)
 from .measures import Measure, _gl_panels
@@ -154,17 +154,26 @@ def _restricted_rule(kern: CDKernel, lo: float, hi: float):
 
 def nevai_integral(kern: CDKernel, f: TestFunction, x: float, m: int | None = None) -> float:
     """int (f(y) - f(x)) K_n(x,y)^2 / K_n(x,x) dmu(y)."""
-    kxx = float(kernel_sum(kern, x, x))
+    nodes, diag, square = _nevai_rule(kern, f, m, x)
+    kxx = float(diag[0])
     if kxx <= 0.0:
         raise PreconditionError("kernel vanishes on the diagonal")
-    nodes, square = _nevai_rule(kern, f, m)
-    term1 = float(np.sum(f(nodes) * square(x)))
+    term1 = float(np.sum(f(nodes) * square))
     return (term1 - f(x) * kxx) / kxx
 
 
-def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
-    """Nodes z_i and the map x -> (w_i K_n(x_k, z_i)^2)_{k,i} for a rule
-    (z_i, w_i) of dmu resolving both f and the degree-(2n-2) kernel square.
+def _restricted_square(kern: CDKernel, x, nodes: np.ndarray, weights: np.ndarray):
+    """K_n(x_k, x_k) and (w_i K_n(x_k, z_i)^2)_{k,i} for the points x_k and a
+    panel rule (z_i, w_i), from one recurrence pass over both."""
+    px, kxz = _cross(kern, x, nodes)
+    return np.sum(px * px, axis=0), weights * kxz * kxz
+
+
+def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None, x):
+    """Nodes z_i, the diagonal K_n(x_k, x_k) and the matrix
+    (w_i K_n(x_k, z_i)^2)_{k,i} for the points x_k and a rule (z_i, w_i) of
+    dmu resolving both f and the degree-(2n-2) kernel square, from one
+    recurrence pass.
 
     A compactly supported f gets panels restricted to its support.  Otherwise
     the m-point Gauss rule of mu enters through its sqrt-weight-scaled design
@@ -174,22 +183,14 @@ def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
     """
     if f.support is not None and all(math.isfinite(v) for v in f.support):
         nodes, weights = _restricted_rule(kern, f.support[0], f.support[1])
-
-        def square(x):
-            kxy = kernel_matrix(kern, x, nodes)
-            return weights * kxy * kxy
-
-        return nodes, square
+        return (nodes,) + _restricted_square(kern, x, nodes, weights)
     size = m if m is not None else 4 * kern.n + 256
     if size < kern.n:
         raise PreconditionError(f"quadrature size {size} below rank {kern.n}")
     nodes, S, _ = _global_rule(kern, size)
-
-    def square(x):
-        a = kern.design(x) @ S.T
-        return a * a
-
-    return nodes, square
+    p = kern.design(x)
+    a = p @ S.T
+    return nodes, np.sum(p * p, axis=1), a * a
 
 
 def alpha_nevai_functional(kern: CDKernel, f: TestFunction, alpha: float, xstar: float,
@@ -208,10 +209,8 @@ def alpha_nevai_functional(kern: CDKernel, f: TestFunction, alpha: float, xstar:
     if outside.size:
         raise DomainError(f"evaluation point {outside[0]} outside the support")
     ft = scaled_function(ScaledStatistic(f, alpha, xstar), n)
-    nodes, square = _nevai_rule(kern, ft, m)
-    q = square(xs)
-    p = kern.design(xs)
-    vals = (f(s) * np.sum(q, axis=1) - q @ ft(nodes)) / np.sum(p * p, axis=1)
+    nodes, diag, q = _nevai_rule(kern, ft, m, xs)
+    vals = (f(s) * np.sum(q, axis=1) - q @ ft(nodes)) / diag
     return float(np.max(np.abs(vals), initial=0.0))
 
 
@@ -223,10 +222,9 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
     if kern.measure.compact and xstar - delta <= lo and xstar + delta >= hi:
         # full support: the reproducing property int K(x*,y)^2 dmu = K(x*,x*)
         return 1.0
-    kxx = float(kernel_sum(kern, xstar, xstar))
     nodes, weights = _restricted_rule(kern, xstar - delta, xstar + delta)
-    kxy = kernel_matrix(kern, xstar, nodes)[0]
-    return float(np.sum(weights * kxy * kxy)) / kxx
+    kxx, square = _restricted_square(kern, xstar, nodes, weights)
+    return float(np.sum(square[0])) / float(kxx[0])
 
 
 # ---------------------------------------------------------------------------

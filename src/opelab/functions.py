@@ -59,8 +59,19 @@ def get(name: str) -> TestFunction:
 
 def _clipped_poly(coeffs: np.ndarray) -> TestFunction:
     c = np.asarray(coeffs, dtype=float)
-    ev = lambda x: np.clip(np.polynomial.polynomial.polyval(
-        np.asarray(x, dtype=float), c), -1.0, 1.0)
+    head, *rest = c.tolist()[::-1]
+
+    def ev(x):
+        # Horner's rule in numpy's polyval order, c[-1] + x*0 first, so the
+        # values are polyval's bit for bit; then clipped to [-1, 1].
+        x = np.asarray(x, dtype=float)
+        v = x * 0.0
+        v += head
+        for ck in rest:
+            v *= x
+            v += ck
+        return np.minimum(np.maximum(v, -1.0), 1.0)
+
     return TestFunction(ev, sup_norm=1.0, lipschitz=_grid_lipschitz(ev),
                         name=f"poly{list(np.round(c, 6))}")
 

@@ -56,13 +56,35 @@ class CDKernel:
         return design_matrix(self.coeffs, self.n, x)
 
 
-def kernel_sum(kern: CDKernel, x, y) -> np.ndarray | float:
-    """K_n(x, y) by direct summation of the orthonormal polynomial products.
+def _one_pass(kern: CDKernel, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(p_0, ..., p_{n-1}) at the points of x and of y as two (n, size)
+    blocks, from one recurrence pass over all of them.  The recurrence acts
+    point by point, so each block equals a pass over its own points."""
+    xf = np.asarray(x, dtype=float).reshape(-1)
+    P = orthonormal_prefix(kern.coeffs, kern.n - 1,
+                           np.concatenate((xf, np.asarray(y, dtype=float).reshape(-1))))
+    return P[:, :xf.size], P[:, xf.size:]
 
-    With y is x (the diagonal K_n(x, x)) the recurrence runs once."""
+
+def _cross(kern: CDKernel, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, size) block of x and K_n(x_i, y_j), from one recurrence pass
+    over the points of x and y."""
+    px, py = _one_pass(kern, x, y)
+    # numpy multiplies a strided row vector without BLAS, so in another
+    # summation order: a contiguous copy of px keeps design(x) @ design(y)^T
+    return px, np.ascontiguousarray(px).T @ py
+
+
+def kernel_sum(kern: CDKernel, x, y) -> np.ndarray | float:
+    """K_n(x, y) by direct summation of the orthonormal polynomial products,
+    from one recurrence pass over the points of x and y (over x alone if y
+    is x)."""
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    px = orthonormal_prefix(kern.coeffs, kern.n - 1, xb)
-    py = px if y is x else orthonormal_prefix(kern.coeffs, kern.n - 1, yb)
+    if y is x:
+        px = py = orthonormal_prefix(kern.coeffs, kern.n - 1, xb)
+    else:
+        shape = (kern.n,) + xb.shape
+        px, py = (p.reshape(shape) for p in _one_pass(kern, xb, yb))
     val = np.sum(px * py, axis=0)
     return float(val) if val.ndim == 0 else val
 
@@ -70,17 +92,19 @@ def kernel_sum(kern: CDKernel, x, y) -> np.ndarray | float:
 def kernel_matrix(kern: CDKernel, x, y) -> np.ndarray:
     """K_n(x_i, y_j) for every pair, as design(x) @ design(y)^T.
 
-    Runs the recurrence once per point of x and of y (once in all if y is
-    x), where kernel_sum on broadcast arguments runs it once per pair.
-    Scalars count as one point.
+    Runs the recurrence once over the points of x and y together (over x
+    alone if y is x), where kernel_sum on broadcast arguments runs it once
+    per pair.  Scalars count as one point.
     """
-    px = kern.design(x)
-    py = px if y is x else kern.design(y)
-    return px @ py.T
+    if y is x:
+        px = kern.design(x)
+        return px @ px.T
+    return _cross(kern, x, y)[1]
 
 
 def kernel_cd(kern: CDKernel, x: float, y: float) -> float:
-    """K_n(x, y) via the two-point Christoffel-Darboux formula.
+    """K_n(x, y) via the two-point Christoffel-Darboux formula, from one
+    recurrence pass over both points.
 
     Delegates to kernel_sum when |x - y| falls below the diagonal switch
     threshold, where the formula cancels.
@@ -88,8 +112,7 @@ def kernel_cd(kern: CDKernel, x: float, y: float) -> float:
     if abs(x - y) < _CD_SWITCH * (1.0 + abs(x) + abs(y)):
         return float(kernel_sum(kern, x, y))
     n = kern.n
-    px = orthonormal_prefix(kern.coeffs, n, float(x))
-    py = orthonormal_prefix(kern.coeffs, n, float(y))
+    px, py = orthonormal_prefix(kern.coeffs, n, np.array([x, y], dtype=float)).T
     b_n = kern.coeffs.offdiag[n - 1]
     return float(b_n * (px[n] * py[n - 1] - py[n] * px[n - 1]) / (x - y))
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from opelab import measures
+from opelab import asymptotics, functions, measures
+from opelab import kernel as kernel_module
 from opelab.errors import DomainError, PreconditionError
 from opelab.kernel import (
     CDKernel,
@@ -14,6 +15,7 @@ from opelab.kernel import (
     reproducing_residual,
     scaled_kernel,
 )
+from opelab.linstat import ScaledStatistic, _global_rule, scaled_function
 
 FAMILIES = {
     "chebyshev": measures.chebyshev,
@@ -141,3 +143,118 @@ class TestTraceIdentity:
         P = kern.design(nodes)
         trace = float(np.sum(weights * np.einsum("ij,ij->i", P, P)))
         assert trace == pytest.approx(n, abs=1e-10 * n)
+
+
+_ONE_PASS_FAMILIES = {
+    "chebyshev": lambda n: measures.chebyshev(),
+    "legendre": lambda n: measures.legendre(),
+    "jacobi(0.5,-0.3)": lambda n: measures.jacobi(0.5, -0.3),
+    "varying_gaussian": measures.varying_gaussian,
+}
+
+
+def _passes(monkeypatch):
+    """Count orthonormal_prefix calls through measures and kernel alike."""
+    calls = []
+    inner = measures.orthonormal_prefix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "orthonormal_prefix", counted)
+    monkeypatch.setattr(kernel_module, "orthonormal_prefix", counted)
+    return calls
+
+
+def _two_pass_square(kern, x, nodes, weights):
+    """(w_i K_n(x_k, z_i)^2)_{k,i} with one pass per point set."""
+    kxz = kern.design(x) @ kern.design(nodes).T
+    return weights * kxz * kxz
+
+
+def _two_pass_nevai(kern, f, x):
+    """Nodes and square of asymptotics._nevai_rule with one pass per point set."""
+    if f.support is not None:
+        nodes, weights = asymptotics._restricted_rule(kern, *f.support)
+        return nodes, _two_pass_square(kern, x, nodes, weights)
+    nodes, S, _ = _global_rule(kern, 4 * kern.n + 256)
+    a = kern.design(x) @ S.T
+    return nodes, a * a
+
+
+class TestOnePassPerCall:
+    """Each kernel call and Nevai functional runs the recurrence once, with
+    the values of one pass per point set, bit for bit."""
+
+    @pytest.fixture(params=sorted(_ONE_PASS_FAMILIES))
+    def family(self, request):
+        return request.param
+
+    @pytest.fixture(params=[5, 50])
+    def kern(self, request, family):
+        return CDKernel(_ONE_PASS_FAMILIES[family](request.param), request.param)
+
+    @staticmethod
+    def _once(monkeypatch, fn):
+        fn()   # builds and caches any quadrature rule first
+        calls = _passes(monkeypatch)
+        val = fn()
+        assert len(calls) == 1
+        monkeypatch.undo()
+        return val
+
+    @staticmethod
+    def _scale(kern):
+        return 1.0 if kern.measure.compact else 0.5
+
+    def test_kernel_functions(self, kern, monkeypatch):
+        c = self._scale(kern)
+        x, y = c * np.linspace(-0.9, 0.9, 17), c * np.linspace(-0.7, 0.95, 13)
+        P = lambda z: measures.orthonormal_prefix(kern.coeffs, kern.n - 1, z)
+        for xs, ys in ((x, y), (0.3 * c, y), (x, x.copy())):
+            got = self._once(monkeypatch, lambda: kernel_matrix(kern, xs, ys))
+            assert np.array_equal(got, kern.design(xs) @ kern.design(ys).T)
+        for xs, ys in ((x, y[:1]), (0.3 * c, 0.1 * c), (0.25 * c, y), (x, x.copy())):
+            got = self._once(monkeypatch, lambda: kernel_sum(kern, xs, ys))
+            xb, yb = np.broadcast_arrays(xs, ys)
+            want = np.sum(P(xb) * P(yb), axis=0)
+            assert np.array_equal(got, want)
+        n = kern.n
+        for a, b in zip(x[::4], y[::3]):
+            got = self._once(monkeypatch, lambda: kernel_cd(kern, a, b))
+            pa = measures.orthonormal_prefix(kern.coeffs, n, float(a))
+            pb = measures.orthonormal_prefix(kern.coeffs, n, float(b))
+            b_n = kern.coeffs.offdiag[n - 1]
+            assert got == float(b_n * (pa[n] * pb[n - 1] - pb[n] * pa[n - 1]) / (a - b))
+
+    @pytest.mark.parametrize("path", ["restricted", "mu-Gauss"])
+    def test_nevai_functionals(self, kern, path, monkeypatch):
+        c = self._scale(kern)
+        f = functions.get("smooth_bump" if path == "restricted" else "cosine")
+        for x in (0.0, 0.31 * c, -0.47 * c):
+            got = self._once(monkeypatch, lambda: asymptotics.nevai_integral(kern, f, x))
+            nodes, square = _two_pass_nevai(kern, f, x)
+            kxx = float(kernel_sum(kern, x, x))
+            assert got == (float(np.sum(f(nodes) * square)) - f(x) * kxx) / kxx
+        for x in (0.0, -0.1 * c):   # every x + s / n^alpha inside the support
+            for alpha in (0.5, 0.8):
+                got = self._once(monkeypatch,
+                                 lambda: asymptotics.alpha_nevai_functional(kern, f, alpha, x))
+                s = np.asarray(asymptotics._DEFAULT_S_GRID)
+                xs = x + s / float(kern.n) ** alpha
+                ft = scaled_function(ScaledStatistic(f, alpha, x), kern.n)
+                nodes, q = _two_pass_nevai(kern, ft, xs)
+                p = kern.design(xs)
+                vals = (f(s) * np.sum(q, axis=1) - q @ ft(nodes)) / np.sum(p * p, axis=1)
+                assert got == float(np.max(np.abs(vals), initial=0.0))
+
+    def test_concentration_mass(self, kern, monkeypatch):
+        c = self._scale(kern)
+        for x in (0.0, 0.31 * c, -0.47 * c):
+            for delta in (0.05, 0.1, 0.5):
+                got = self._once(monkeypatch,
+                                 lambda: asymptotics.concentration_mass(kern, x, delta))
+                nodes, weights = asymptotics._restricted_rule(kern, x - delta, x + delta)
+                square = _two_pass_square(kern, x, nodes, weights)[0]
+                assert got == float(np.sum(square)) / float(kernel_sum(kern, x, x))

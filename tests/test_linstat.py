@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opelab import functions, linstat, measures
-from opelab.errors import PreconditionError
+from opelab.errors import NumericalError, PreconditionError
 from opelab.kernel import _CACHE_SIZE, CDKernel
 from opelab.linstat import (
     ScaledStatistic,
@@ -296,6 +296,66 @@ class TestJointLadder:
         sizes.clear()
         assert linstat._ladder(kern, COS60, None, (0.2, "variance", "mean")) == alone[::-1]
         assert sizes == rungs[-1]   # one rule request per rung
+
+
+class TestCholeskyLogDet:
+    """log_mgf by Cholesky against an LU log-determinant on the same rule."""
+
+    @staticmethod
+    def _slogdet(S, fv, t):
+        M = np.eye(S.shape[1]) + S.T @ (np.expm1(t * fv)[:, None] * S)
+        sign, logdet = np.linalg.slogdet(M)
+        assert sign > 0.0
+        return logdet
+
+    @pytest.mark.parametrize("family", sorted(_JOINT_FAMILIES))
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_matches_slogdet(self, family, n):
+        mu = _JOINT_FAMILIES[family](n)
+        kern = CDKernel(mu, n)
+        m = 2 * n + 64
+        nodes, _, S = mu.gauss_rule_scaled(m, n)
+        bump = scaled_function(ScaledStatistic(BUMP, 0.5, 0.1), n)
+        win = linstat._window_for(kern, bump)
+        assert win is not None
+        size = linstat._window_panels(kern, win, 0)
+        wnodes, wS, _ = linstat._window_rule(kern, win[0], win[1], bump.discontinuities, size)
+        for t in (0.33, -0.33, 0.2, 1e-3):
+            for f in (IDENTITY, SQUARE, functions.get("cosine")):
+                assert abs(log_mgf(kern, f, t, m) - self._slogdet(S, f(nodes), t)) <= 1e-12
+            assert abs(log_mgf(kern, bump, t, m) - self._slogdet(wS, bump(wnodes), t)) <= 1e-12
+
+    def test_singular_matrix_raises(self):
+        # e^{-200} - 1 is exactly -1, so M = I - S^T S = 0 on the mu-Gauss rule
+        kern = CDKernel(measures.chebyshev(), 5)
+        assert math.expm1(-200.0) == -1.0
+        with pytest.raises(NumericalError):
+            log_mgf(kern, ONE, -200.0)
+
+
+class TestClippedPolynomial:
+    """The Horner evaluator equals numpy's polyval, clipped, bit for bit."""
+
+    X = np.concatenate([[0.0, -0.0, 1.0, -1.0, 3.0, -3.0], np.linspace(-3.0, 3.0, 1201),
+                        np.random.default_rng(5).uniform(-3.0, 3.0, 500)])
+
+    def _assert_bitwise(self, f, coeffs):
+        want = np.clip(np.polynomial.polynomial.polyval(self.X, coeffs), -1.0, 1.0)
+        got = f(self.X)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_bounded_suite(self):
+        suite = functions.bounded_suite(50)
+        rng = np.random.default_rng(20240815)   # the suite's own draws
+        for f in suite:
+            coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 5)) + 1)
+            assert f.name == f"poly{list(np.round(coeffs, 6))}"
+            self._assert_bitwise(f, coeffs)
+
+    def test_from_spec(self):
+        coeffs = [0.25, -0.0, 1.5, 0.0, -0.75]
+        self._assert_bitwise(functions.from_spec({"poly": coeffs}), np.array(coeffs))
 
 
 class TestRuleCache:
