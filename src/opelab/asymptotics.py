@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .kernel import CDKernel, _cross, _sqrt_weight, kernel_matrix, kernel_tilde
-from .linstat import (ScaledStatistic, TestFunction, _global_rule, exact_scaled_variance,
-                      scaled_function)
-from .measures import Measure, _gl_panels
+from .linstat import (ScaledStatistic, TestFunction, _global_rule, _panel_rule,
+                      exact_scaled_variance, scaled_function)
+from .measures import Measure
 
 __all__ = [
     "EquilibriumDensity",
@@ -108,47 +108,6 @@ def sine_kernel(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Panel quadrature against the weight, robust at support endpoints
-# ---------------------------------------------------------------------------
-
-def _panel_rule_theta(measure: Measure, lo: float, hi: float, n: int):
-    """GL panels for int_{lo}^{hi} g(y) dmu(y) on a compact support.
-
-    Works in theta = arccos of the affine map so that integrable endpoint
-    singularities of the weight are tamed by the Jacobian.
-    """
-    slo, shi = measure.support
-    half, mid = 0.5 * (shi - slo), 0.5 * (shi + slo)
-    lo, hi = max(lo, slo), min(hi, shi)
-    ta = math.acos(np.clip((hi - mid) / half, -1.0, 1.0))
-    tb = math.acos(np.clip((lo - mid) / half, -1.0, 1.0))
-    npanels = max(32, int(2 * n * (tb - ta)) + 1)
-    theta, tw = _gl_panels(np.linspace(ta, tb, npanels + 1))
-    y = mid + half * np.cos(theta)
-    w = tw * measure.weight(y) * half * np.sin(theta)
-    return y, w
-
-
-def _panel_rule_line(measure: Measure, lo: float, hi: float, n: int):
-    dens = max(1.0, 2.0 * n / max(hi - lo, 1e-12))
-    npanels = max(32, int(dens * (hi - lo)) + 1)
-    y, w = _gl_panels(np.linspace(lo, hi, npanels + 1))
-    return y, w * measure.weight(y)
-
-
-def _restricted_rule(kern: CDKernel, lo: float, hi: float):
-    if kern.measure.compact:
-        return _panel_rule_theta(kern.measure, lo, hi, kern.n)
-    # truncate an unbounded window at the spectral edge plus a wide margin
-    coeffs = kern.coeffs
-    edge = float(np.max(np.abs(coeffs.diag[:kern.n]) + 2.0 * coeffs.offdiag[:kern.n]))
-    pad = 8.0 * max(coeffs.offdiag[0], 1e-6)
-    lo = max(lo, -(edge + pad))
-    hi = min(hi, edge + pad)
-    return _panel_rule_line(kern.measure, lo, hi, kern.n)
-
-
-# ---------------------------------------------------------------------------
 # Nevai-type functionals
 # ---------------------------------------------------------------------------
 
@@ -175,14 +134,14 @@ def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None, x):
     dmu resolving both f and the degree-(2n-2) kernel square, from one
     recurrence pass.
 
-    A compactly supported f gets panels restricted to its support.  Otherwise
-    the m-point Gauss rule of mu enters through its sqrt-weight-scaled design
-    S[i, j] = sqrt(w_i) p_j(z_i), as (P S^T)^2 with P the design at the x_k:
-    a tiny raw Gauss weight is accurate only in absolute terms and must never
-    meet a huge kernel value.
+    A compactly supported f gets linstat._panel_rule on its support, split
+    at its discontinuities.  Otherwise the m-point Gauss rule of mu enters
+    through its sqrt-weight-scaled design S[i, j] = sqrt(w_i) p_j(z_i), as
+    (P S^T)^2 with P the design at the x_k: a tiny raw Gauss weight is
+    accurate only in absolute terms and must never meet a huge kernel value.
     """
     if f.support is not None and all(math.isfinite(v) for v in f.support):
-        nodes, weights = _restricted_rule(kern, f.support[0], f.support[1])
+        nodes, weights = _panel_rule(kern, *f.support, 1, f.discontinuities)
         return (nodes,) + _restricted_square(kern, x, nodes, weights)
     size = m if m is not None else 4 * kern.n + 256
     if size < kern.n:
@@ -222,7 +181,7 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
     if kern.measure.compact and xstar - delta <= lo and xstar + delta >= hi:
         # full support: the reproducing property int K(x*,y)^2 dmu = K(x*,x*)
         return 1.0
-    nodes, weights = _restricted_rule(kern, xstar - delta, xstar + delta)
+    nodes, weights = _panel_rule(kern, xstar - delta, xstar + delta, 1)
     kxx, square = _restricted_square(kern, xstar, nodes, weights)
     return float(np.sum(square[0])) / float(kxx[0])
 

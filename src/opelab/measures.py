@@ -175,20 +175,6 @@ def _chebyshev_rule(m: int, ncols: int):
     return nodes, np.full(m, 1.0 / m), S
 
 
-# 16-point Gauss-Legendre rule on [-1, 1], shared by every composite panel rule.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_panels(edges: np.ndarray):
-    """Composite 16-point Gauss-Legendre rule for Lebesgue measure on the
-    panels [edges[k], edges[k+1]], as (nodes, weights), panel by panel."""
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
 # ---------------------------------------------------------------------------
 # Closed-form recurrences for the classical families
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from opelab.kernel import (
     reproducing_residual,
     scaled_kernel,
 )
-from opelab.linstat import ScaledStatistic, _global_rule, scaled_function
+from opelab.linstat import ScaledStatistic, _global_rule, _panel_rule, scaled_function
 
 FAMILIES = {
     "chebyshev": measures.chebyshev,
@@ -176,7 +176,7 @@ def _two_pass_square(kern, x, nodes, weights):
 def _two_pass_nevai(kern, f, x):
     """Nodes and square of asymptotics._nevai_rule with one pass per point set."""
     if f.support is not None:
-        nodes, weights = asymptotics._restricted_rule(kern, *f.support)
+        nodes, weights = _panel_rule(kern, *f.support, 1, f.discontinuities)
         return nodes, _two_pass_square(kern, x, nodes, weights)
     nodes, S, _ = _global_rule(kern, 4 * kern.n + 256)
     a = kern.design(x) @ S.T
@@ -255,6 +255,6 @@ class TestOnePassPerCall:
             for delta in (0.05, 0.1, 0.5):
                 got = self._once(monkeypatch,
                                  lambda: asymptotics.concentration_mass(kern, x, delta))
-                nodes, weights = asymptotics._restricted_rule(kern, x - delta, x + delta)
+                nodes, weights = _panel_rule(kern, x - delta, x + delta, 1)
                 square = _two_pass_square(kern, x, nodes, weights)[0]
                 assert got == float(np.sum(square)) / float(kernel_sum(kern, x, x))

@@ -1,8 +1,10 @@
-"""Family knowledge lives in the table of opelab.measures.
+"""Family knowledge lives in the table of opelab.measures, and composite
+panel rules in one builder, linstat._panel_rule.
 
 Outside measures.py no module may compare a family name to a string
 literal or index a measure's params: whatever depends on the family is an
-entry of measures.FAMILIES.
+entry of measures.FAMILIES.  Outside linstat.py no module may call a
+Gauss-Legendre panel primitive.
 """
 
 import ast
@@ -42,3 +44,15 @@ def _breaches(tree):
 def test_no_family_dispatch_outside_measures(path):
     tree = ast.parse((SRC / path).read_text())
     assert [f"{path}:{line}: {what}" for line, what in _breaches(tree)] == []
+
+
+_PANEL_PRIMITIVES = ("_gl_panels", "leggauss")
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "linstat.py"))
+def test_no_panel_rule_outside_linstat(path):
+    tree = ast.parse((SRC / path).read_text())
+    calls = [f"{path}:{node.lineno}: {_name(node.func)} called" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _name(node.func) in _PANEL_PRIMITIVES]
+    assert calls == []
