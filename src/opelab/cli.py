@@ -10,7 +10,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -62,12 +61,14 @@ class ExperimentConfig:
     replicas: int = 1
     seed: int = 0
     epsilons: list = field(default_factory=lambda: [0.1, 0.3])
-    normalization: str = "n"
+    normalization: str | float = "n"
     method: str = "hkpv"
     raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {raw!r}")
         try:
             experiment = raw["experiment"].lower()
         except (KeyError, AttributeError):
@@ -102,11 +103,8 @@ class ExperimentConfig:
             raise ConfigurationError("epsilons must be positive")
         normalization = raw.get("normalization", "n")
         if normalization != "n":
-            try:
-                norm = float(normalization)
-            except (TypeError, ValueError):
-                norm = math.nan
-            if not (math.isfinite(norm) and norm > 0.0):
+            normalization = config_number(normalization, "normalization")
+            if normalization <= 0.0:
                 raise ConfigurationError(
                     f"normalization must be 'n' or a positive number, got {normalization!r}")
         method = raw.get("method", "hkpv")
@@ -187,7 +185,7 @@ def _run_bounds(cfg: ExperimentConfig, out: Path) -> list:
     f = cfg.statistic.f
     for n in cfg.n_grid:
         kern = CDKernel(cfg.measure, n)
-        norm = float(n) if cfg.normalization == "n" else float(cfg.normalization)
+        norm = float(n) if cfg.normalization == "n" else cfg.normalization
         results = tail_probability_mc(kern, f, cfg.epsilons, max(1000, cfg.replicas),
                                       RngStream(cfg.seed, 0), norm)
         for eps, res in zip(cfg.epsilons, results):

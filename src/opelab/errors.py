@@ -13,10 +13,6 @@ class PreconditionError(OpelabError):
     """An operation was called outside its documented preconditions."""
 
 
-class DegenerateMeasureError(OpelabError):
-    """The supplied weight integrates to zero (or is not a measure)."""
-
-
 class InstabilityError(OpelabError):
     """Loss of positivity in a computed recurrence coefficient."""
 

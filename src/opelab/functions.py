@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linstat import TestFunction
+from .measures import config_number
 
 __all__ = ["REGISTRY", "get", "from_spec", "bounded_suite"]
 
@@ -81,15 +82,11 @@ def from_spec(spec) -> TestFunction:
     if isinstance(spec, str):
         return get(spec)
     if isinstance(spec, dict) and "poly" in spec:
-        try:
-            coeffs = np.asarray(spec["poly"], dtype=float)
-        except (TypeError, ValueError):
-            coeffs = None
-        if coeffs is None or coeffs.ndim != 1 or coeffs.size == 0 \
-                or not np.all(np.isfinite(coeffs)):
+        poly = spec["poly"]
+        if not isinstance(poly, list) or not poly:
             raise ConfigurationError(
-                f"poly must be a nonempty list of finite coefficients, got {spec['poly']!r}")
-        return _clipped_poly(coeffs)
+                f"poly must be a nonempty list of finite coefficients, got {poly!r}")
+        return _clipped_poly(np.array([config_number(c, "poly coefficient") for c in poly]))
     raise ConfigurationError(f"cannot interpret test function spec {spec!r}")
 
 

@@ -5,9 +5,9 @@ All polynomial systems use the orthonormal three-term recurrence
     b_{k+1} p_{k+1}(x) = (x - a_k) p_k(x) - b_k p_{k-1}(x),   p_{-1} = 0, p_0 = 1,
 
 so the leading-coefficient ratio gamma_{n-1}/gamma_n equals b_n.  Every measure
-is a probability measure; discretized measures are normalized at construction.
-Everything that depends on the family of a measure is its entry in the table
-FAMILIES at the end of this module.
+is a probability measure with its recurrence in closed form.  Everything that
+depends on the family of a measure is its entry in the table FAMILIES at the
+end of this module.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, roots_hermite
+from scipy.special import betaln
 
 from .errors import (
     ConfigurationError,
-    DegenerateMeasureError,
     InstabilityError,
     NumericalError,
     PreconditionError,
@@ -36,11 +35,8 @@ __all__ = [
     "legendre",
     "jacobi",
     "varying_gaussian",
-    "discretized",
-    "register_weight",
     "Family",
     "FAMILIES",
-    "stieltjes_recurrence",
     "orthonormal_prefix",
     "design_matrix",
     "gauss_quadrature_scaled",
@@ -216,102 +212,8 @@ def _varying_gaussian_coeffs(depth: int, n: int) -> RecurrenceCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# Discretized Stieltjes procedure
-# ---------------------------------------------------------------------------
-
-def _chebyshev_grid(weight: Callable, lo: float, hi: float, grid: int):
-    """Discretization of weight(x)dx on [lo, hi] by a Gauss-Chebyshev rule."""
-    i = np.arange(1, grid + 1)
-    theta = (2.0 * i - 1.0) * math.pi / (2.0 * grid)
-    t = np.cos(theta)
-    half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo) + half * t
-    w = (math.pi / grid) * half * np.sin(theta) * np.asarray(weight(x), dtype=float)
-    return x, w
-
-
-def _hermite_grid(weight: Callable, grid: int, scale: float = 1.0):
-    """Discretization of weight(x)dx on the line by a scaled Gauss-Hermite rule.
-
-    The substitution x = scale * t keeps the correction factor e^{t^2} w(scale t)
-    bounded for Gaussian-like weights of matching scale.
-    """
-    t, hw = roots_hermite(grid)
-    x = scale * t
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logw = np.log(np.asarray(weight(x), dtype=float))
-        factor = np.exp(t * t + logw)
-    factor = np.where(np.isfinite(factor), factor, 0.0)
-    w = scale * hw * factor
-    return x, np.where(np.isfinite(w), w, 0.0)
-
-
-def _discrete_stieltjes(x: np.ndarray, w: np.ndarray, depth: int) -> RecurrenceCoefficients:
-    """Lanczos/Stieltjes recursion on a discrete measure, fully reorthogonalized."""
-    mass = float(np.sum(w))
-    if not mass > 0.0:
-        raise DegenerateMeasureError("weight integrates to zero on the support")
-    w = w / mass
-    diag = np.empty(depth)
-    off = np.empty(depth)
-    q_prev = np.zeros_like(x)
-    q = np.ones_like(x)
-    basis = [q]
-    b = 0.0
-    for k in range(depth):
-        a = float(np.sum(w * x * q * q))
-        v = (x - a) * q - b * q_prev
-        for u in basis:  # full reorthogonalization; depth is small
-            v -= np.sum(w * v * u) * u
-        b2 = float(np.sum(w * v * v))
-        if not (b2 > 0.0 and np.isfinite(b2)):
-            raise InstabilityError(k + 1, b2)
-        b = math.sqrt(b2)
-        diag[k] = a
-        off[k] = b
-        q_prev, q = q, v / b
-        basis.append(q)
-    return RecurrenceCoefficients(diag, off)
-
-
-def stieltjes_recurrence(
-    weight: Callable,
-    support: tuple[float, float],
-    depth: int,
-    grid: int,
-    scale: float = 1.0,
-) -> RecurrenceCoefficients:
-    """Recurrence coefficients of the normalized measure weight(x)dx on support.
-
-    Compact supports are discretized with a Gauss-Chebyshev rule, the whole
-    line with a scaled Gauss-Hermite rule.  Increasing `grid` converges to the
-    true coefficients.
-    """
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
-    if grid < 50 * depth:
-        raise PreconditionError(f"grid must be >= 50*depth = {50 * depth}")
-    lo, hi = support
-    if math.isinf(lo) or math.isinf(hi):
-        x, w = _hermite_grid(weight, grid, scale=scale)
-    else:
-        x, w = _chebyshev_grid(weight, lo, hi, grid)
-    if np.any(w < -1e-14 * max(1.0, float(np.max(np.abs(w))))):
-        raise DegenerateMeasureError("weight is negative on the support")
-    return _discrete_stieltjes(x, np.clip(w, 0.0, None), depth)
-
-
-# ---------------------------------------------------------------------------
 # Measure
 # ---------------------------------------------------------------------------
-
-_WEIGHT_REGISTRY: dict[str, Callable] = {}
-
-
-def register_weight(key: str, evaluator: Callable) -> None:
-    """Register a named weight evaluator for discretized measures."""
-    _WEIGHT_REGISTRY[key] = evaluator
-
 
 @dataclass
 class Measure:
@@ -323,7 +225,6 @@ class Measure:
 
     _diag: np.ndarray = field(default=None, repr=False, compare=False)
     _off: np.ndarray = field(default=None, repr=False, compare=False)
-    _norm: float = field(default=1.0, repr=False, compare=False)
 
     @property
     def spec(self) -> "Family":
@@ -364,12 +265,7 @@ class Measure:
         cos(theta/2), since 1 -+ x = 2 sin^2(theta/2), 2 cos^2(theta/2): in x,
         1 - x*x loses all digits as theta nears 0 or pi.
         """
-        th = np.asarray(theta, dtype=float)
-        if self.spec.theta_density is not None:
-            return self.spec.theta_density(self, th)
-        lo, hi = self.support
-        half = 0.5 * (hi - lo)
-        return self.weight(0.5 * (hi + lo) + half * np.cos(th)) * half * np.sin(th)
+        return self.spec.theta_density(self, np.asarray(theta, dtype=float))
 
     # -- recurrence coefficients, lazily extended ---------------------------
 
@@ -418,11 +314,7 @@ class Measure:
             kind = spec.params.get(key)
             if kind is None:
                 raise ConfigurationError(f"family {family!r} has no parameter {key!r}")
-            if kind in (int, float):
-                value = config_number(value, f"params.{key}", integer=kind is int)
-            elif not isinstance(value, kind):
-                raise ConfigurationError(f"params.{key} must be a {kind.__name__}, got {value!r}")
-            args[key] = value
+            args[key] = config_number(value, f"params.{key}", integer=kind is int)
         try:
             return spec.factory(**args)
         except (TypeError, ValueError, PreconditionError) as exc:
@@ -453,34 +345,6 @@ def varying_gaussian(n: int) -> Measure:
     return Measure("varying_gaussian", {"n": int(n)}, (-math.inf, math.inf))
 
 
-def discretized(
-    weight_key: str,
-    support: tuple[float, float],
-    grid: int = 1000,
-    scale: float = 1.0,
-) -> Measure:
-    """User-supplied weight, referenced by registry key, normalized to mass 1."""
-    if weight_key not in _WEIGHT_REGISTRY:
-        raise ConfigurationError(f"weight key {weight_key!r} not registered")
-    ev = _WEIGHT_REGISTRY[weight_key]
-    lo, hi = support
-    if math.isinf(lo) or math.isinf(hi):
-        x, w = _hermite_grid(ev, grid, scale=scale)
-    else:
-        x, w = _chebyshev_grid(ev, lo, hi, grid)
-    mass = float(np.sum(w))
-    if not mass > 0.0:
-        raise DegenerateMeasureError("weight integrates to zero on the support")
-    m = Measure(
-        "discretized",
-        {"weight_key": weight_key, "support": list(support), "grid": int(grid),
-         "scale": float(scale)},
-        (float(lo), float(hi)),
-    )
-    m._norm = mass
-    return m
-
-
 # ---------------------------------------------------------------------------
 # The family table
 # ---------------------------------------------------------------------------
@@ -490,10 +354,10 @@ class Family:
     """Everything that depends on the family of a measure.
 
     The callables take the Measure first.  params maps each config parameter
-    to its type (int, float, str or list); factory takes them by name.
-    log_weight defaults to log(weight) and theta_density to
-    weight(x(theta)) * half * sin(theta).  rule is a closed-form Gauss rule
-    (m, ncols) -> (nodes, weights, S) like gauss_quadrature_scaled.
+    to its type, int or float; factory takes them by name.  log_weight
+    defaults to log(weight).  theta_density, the density in theta of
+    x = cos(theta), is required for a compact family.  rule is a closed-form
+    Gauss rule (m, ncols) -> (nodes, weights, S) like gauss_quadrature_scaled.
     gaussian_n is the N of a Gaussian weight exp(-N x^2 / 2), the scale of
     the HKPV line coordinate and of the tridiagonal model.  check_hkpv raises
     ConfigurationError where HKPV's arccos coordinate leaves the density
@@ -540,20 +404,14 @@ def _jacobi_check_hkpv(mu: Measure) -> None:
             f"density is unbounded, got {mu.params}")
 
 
-def _discretized_weight(mu: Measure, x: np.ndarray) -> np.ndarray:
-    ev = _WEIGHT_REGISTRY[mu.params["weight_key"]]
-    lo, hi = mu.support
-    inside = (x >= lo) & (x <= hi)
-    return np.where(inside, np.asarray(ev(x), dtype=float) / mu._norm, 0.0)
-
-
 FAMILIES: dict[str, Family] = {
     "chebyshev1st": Family(
         chebyshev, lambda mu, depth: _chebyshev_coeffs(depth), _chebyshev_weight,
         theta_density=lambda mu, th: np.full(th.shape, 1.0 / math.pi), rule=_chebyshev_rule),
     "legendre": Family(
         legendre, lambda mu, depth: _legendre_coeffs(depth),
-        lambda mu, x: np.where(np.abs(x) <= 1.0, 0.5, 0.0)),
+        lambda mu, x: np.where(np.abs(x) <= 1.0, 0.5, 0.0),
+        theta_density=lambda mu, th: 0.5 * np.sin(th)),
     "jacobi": Family(
         jacobi, lambda mu, depth: _jacobi_coeffs(depth, mu.params["a_exp"], mu.params["b_exp"]),
         lambda mu, x: np.exp(_jacobi_log_weight(mu, x)), {"a_exp": float, "b_exp": float},
@@ -567,10 +425,4 @@ FAMILIES: dict[str, Family] = {
         log_weight=lambda mu, x: (0.5 * math.log(mu.params["n"] / (2.0 * math.pi))
                                   - 0.5 * mu.params["n"] * x * x),
         gaussian_n=lambda mu: mu.params["n"]),
-    "discretized": Family(
-        discretized,
-        lambda mu, depth: stieltjes_recurrence(mu.weight, mu.support, depth,
-                                               max(mu.params["grid"], 50 * depth),
-                                               scale=mu.params["scale"]),
-        _discretized_weight, {"weight_key": str, "support": list, "grid": int, "scale": float}),
 }

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opelab import cli, measures
+from opelab import cli
 from opelab.errors import ConfigurationError
 from opelab.sampler import RngStream, sample_gue_batch
 
@@ -80,6 +80,12 @@ class TestMainEntry:
         path = write_config(tmp_path, {"experiment": "stats", "n_grid": [3, 2]})
         assert cli.main(["validate", "--config", path]) == 2
 
+    @pytest.mark.parametrize("payload", [[1, 2], "stats"])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, payload)
+        assert cli.main(["validate", "--config", path]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("change", [
         {"experiment": "bounds", "normalization": "abc"},
         {"measure": {"family": "jacobi", "params": {"b_exp": 0.5}}},
@@ -100,13 +106,19 @@ class TestMainEntry:
         {"measure": {"family": "varying_gaussian", "params": {"n": 50, "N": 10}}},
         {"measure": {"family": "legendre", "params": {"a_exp": 2}}},
         {"measure": {"family": "chebyshev1st", "params": 5}},
+        {"measure": {"family": "discretized",
+                     "params": {"weight_key": "x", "support": [-1, 1]}}},
+        {"experiment": "bounds", "normalization": True},
+        {"experiment": "bounds", "normalization": "2.5"},
+        {"statistic": {"f": {"poly": [True, False]}}},
     ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
             "varying_gaussian_n_0", "measure_not_object", "statistic_not_object",
             "n_grid_not_numbers", "n_grid_not_integers", "epsilons_not_list",
             "replicas_not_number", "sample_jacobi_a_exp_below_-1/2",
             "tridiagonal_on_chebyshev", "varying_gaussian_n_not_integer",
             "varying_gaussian_n_bool", "varying_gaussian_unknown_param",
-            "legendre_unknown_param", "params_not_object"])
+            "legendre_unknown_param", "params_not_object", "discretized_family",
+            "normalization_bool", "normalization_string", "poly_bools"])
     def test_bad_config_exits_2_up_front(self, tmp_path, change):
         payload = dict(BASE, **change)
         path = write_config(tmp_path, payload)
@@ -249,17 +261,15 @@ class TestMainEntry:
         _, ue, te = lines[1].split(",")
         assert float(ue) < 0.5 and float(te) < 0.5
 
-    @pytest.mark.parametrize("lo", [-2.0, 0.0])
-    def test_universality_compares_with_the_arcsine_law_of_the_support(self, tmp_path, lo):
-        """A semicircle weight on [lo, lo + 4]: the totik error against the
-        arcsine law of that interval halves as n doubles."""
-        c = lo + 2.0
-        measures.register_weight(f"semicircle_at_{c}",
-                                 lambda x: np.sqrt(np.maximum(4.0 - (x - c) ** 2, 0.0)))
-        measure = {"family": "discretized",
-                   "params": {"weight_key": f"semicircle_at_{c}", "support": [lo, lo + 4.0]}}
+    @pytest.mark.parametrize("measure", [
+        {"family": "jacobi", "params": {"a_exp": 0.5, "b_exp": 0.5}},
+        {"family": "legendre"},
+    ], ids=["semicircle", "legendre"])
+    def test_universality_compares_with_the_arcsine_law_of_the_support(self, tmp_path, measure):
+        """A compact non-arcsine weight: the totik error against the arcsine
+        law of its support halves as n doubles."""
         payload = dict(BASE, experiment="universality", n_grid=[10, 20, 40], measure=measure,
-                       statistic={"f": "identity", "xstar": c})
+                       statistic={"f": "identity", "xstar": 0.0})
         out = tmp_path / "out"
         assert cli.main(["universality", "--config", write_config(tmp_path, payload),
                          "--out", str(out)]) == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from opelab import measures
 from opelab.errors import (
     ConfigurationError,
-    DegenerateMeasureError,
     InstabilityError,
     PreconditionError,
 )
@@ -185,42 +184,10 @@ class TestClosedFormChebyshevRule:
             mu.gauss_rule_scaled(4, 0)
 
 
-class TestStieltjes:
-    @pytest.mark.parametrize("target,weight", [
-        (measures.chebyshev, lambda x: 1.0 / np.sqrt(np.maximum(1.0 - x * x, 1e-300))),
-        (measures.legendre, lambda x: np.ones_like(x)),
-    ])
-    def test_recovers_classical_coefficients(self, target, weight):
-        got = measures.stieltjes_recurrence(weight, (-1.0, 1.0), depth=8, grid=4000)
-        want = target().recurrence(8)
-        assert np.allclose(got.diag, want.diag, atol=5e-6)
-        assert np.allclose(got.offdiag, want.offdiag, atol=5e-6)
-
-    def test_gaussian_on_the_line(self):
-        n = 4
-        w = lambda x: np.exp(-0.5 * n * x * x)
-        got = measures.stieltjes_recurrence(w, (-math.inf, math.inf), depth=6,
-                                            grid=300, scale=1.0 / math.sqrt(n))
-        want = measures.varying_gaussian(n).recurrence(6)
-        assert np.allclose(got.offdiag, want.offdiag, atol=1e-8)
-
-    def test_zero_weight_is_degenerate(self):
-        with pytest.raises(DegenerateMeasureError):
-            measures.stieltjes_recurrence(lambda x: np.zeros_like(x),
-                                          (-1.0, 1.0), depth=2, grid=500)
-
-    def test_undersized_grid_rejected(self):
-        with pytest.raises(PreconditionError):
-            measures.stieltjes_recurrence(lambda x: np.ones_like(x),
-                                          (-1.0, 1.0), depth=10, grid=100)
-
-
 def _table_examples():
     """One measure per family of the table."""
-    measures.register_weight("semicircle_r2", lambda x: np.sqrt(np.maximum(4.0 - x * x, 0.0)))
     examples = [measures.chebyshev(), measures.legendre(), measures.jacobi(0.25, -0.25),
-                measures.varying_gaussian(7),
-                measures.discretized("semicircle_r2", (-2.0, 2.0), grid=2000)]
+                measures.varying_gaussian(7)]
     assert sorted(mu.family for mu in examples) == sorted(measures.FAMILIES)
     return examples
 
@@ -241,8 +208,7 @@ class TestMeasureObject:
     def test_theta_density(self):
         theta = np.linspace(0.05, math.pi - 0.05, 41)
         compact = [mu for mu in _table_examples() if mu.compact]
-        assert {mu.family for mu in compact} == {"chebyshev1st", "legendre", "jacobi",
-                                                "discretized"}
+        assert {mu.family for mu in compact} == {"chebyshev1st", "legendre", "jacobi"}
         for mu in compact + [measures.jacobi(0.5, 1.5), measures.jacobi(-0.5, 0.25)]:
             lo, hi = mu.support
             half = 0.5 * (hi - lo)
@@ -263,24 +229,3 @@ class TestMeasureObject:
             assert back.family == mu.family
             assert back.params == mu.params
             assert back.support == mu.support
-
-    @pytest.mark.parametrize("params", [
-        {"weight_key": 3, "support": [-1, 1]},
-        {"weight_key": "semicircle_r2", "support": 2},
-        {"weight_key": "semicircle_r2", "support": [-1, 0, 1]},
-    ], ids=["weight_key_not_string", "support_not_list", "support_not_pair"])
-    def test_discretized_schema(self, params):
-        _table_examples()   # registers the weight key
-        with pytest.raises(ConfigurationError):
-            measures.Measure.from_json({"family": "discretized", "params": params})
-
-    def test_discretized_requires_registration(self):
-        with pytest.raises(ConfigurationError):
-            measures.discretized("never-registered", (-1.0, 1.0))
-
-    def test_discretized_matches_semicircle_moments(self):
-        measures.register_weight("sc_test", lambda x: np.sqrt(np.maximum(4.0 - x * x, 0.0)))
-        mu = measures.discretized("sc_test", (-2.0, 2.0), grid=4000)
-        nodes, weights = mu.gauss_rule(12)
-        assert np.sum(weights * nodes ** 2) == pytest.approx(1.0, abs=1e-6)
-        assert np.sum(weights * nodes ** 4) == pytest.approx(2.0, abs=1e-5)
