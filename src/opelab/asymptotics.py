@@ -10,8 +10,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .kernel import CDKernel, _cross, _sqrt_weight, kernel_matrix, kernel_tilde
-from .linstat import (ScaledStatistic, TestFunction, _global_rule, _panel_rule,
+from .kernel import CDKernel, _sqrt_weight, kernel_matrix, kernel_tilde
+from .linstat import (ScaledStatistic, TestFunction, _global_rule, _window_rule,
                       exact_scaled_variance, scaled_function)
 from .measures import Measure
 
@@ -111,65 +111,62 @@ def sine_kernel(a: float, b: float) -> float:
 # Nevai-type functionals
 # ---------------------------------------------------------------------------
 
-def nevai_integral(kern: CDKernel, f: TestFunction, x: float, m: int | None = None) -> float:
-    """int (f(y) - f(x)) K_n(x,y)^2 / K_n(x,x) dmu(y)."""
-    nodes, diag, square = _nevai_rule(kern, f, m, x)
-    kxx = float(diag[0])
-    if kxx <= 0.0:
+def _nu_average(kern: CDKernel, x, rule, g: Callable) -> np.ndarray:
+    """The mean of g under nu_x(dy) = K_n(x,y)^2 dmu(y) / K_n(x,x) at each
+    point x_k, as ((P S^T)^2 g(nodes)) / rowsum(P^2) on a cached rule
+    (nodes, S, kd) with P the design at the x_k.  The rule enters through its
+    sqrt-weight-scaled design S: a tiny raw weight is accurate only in
+    absolute terms and must never meet a huge kernel value."""
+    nodes, S, _ = rule
+    p = kern.design(x)
+    kxx = np.sum(p * p, axis=1)
+    if np.any(kxx <= 0.0):
         raise PreconditionError("kernel vanishes on the diagonal")
-    term1 = float(np.sum(f(nodes) * square))
-    return (term1 - f(x) * kxx) / kxx
+    return np.square(p @ S.T) @ g(nodes) / kxx
 
 
-def _restricted_square(kern: CDKernel, x, nodes: np.ndarray, weights: np.ndarray):
-    """K_n(x_k, x_k) and (w_i K_n(x_k, z_i)^2)_{k,i} for the points x_k and a
-    panel rule (z_i, w_i), from one recurrence pass over both."""
-    px, kxz = _cross(kern, x, nodes)
-    return np.sum(px * px, axis=0), weights * kxz * kxz
-
-
-def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None, x):
-    """Nodes z_i, the diagonal K_n(x_k, x_k) and the matrix
-    (w_i K_n(x_k, z_i)^2)_{k,i} for the points x_k and a rule (z_i, w_i) of
-    dmu resolving both f and the degree-(2n-2) kernel square, from one
-    recurrence pass.
-
-    A compactly supported f gets linstat._panel_rule on its support, split
-    at its discontinuities.  Otherwise the m-point Gauss rule of mu enters
-    through its sqrt-weight-scaled design S[i, j] = sqrt(w_i) p_j(z_i), as
-    (P S^T)^2 with P the design at the x_k: a tiny raw Gauss weight is
-    accurate only in absolute terms and must never meet a huge kernel value.
-    """
+def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
+    """The cached rule resolving both f and the degree-(2n-2) kernel square:
+    the base panels of f's finite support, split at its discontinuities, or
+    else the m-point mu-Gauss rule (4n + 256 by default)."""
     if f.support is not None and all(math.isfinite(v) for v in f.support):
-        nodes, weights = _panel_rule(kern, *f.support, 1, f.discontinuities)
-        return (nodes,) + _restricted_square(kern, x, nodes, weights)
+        return _window_rule(kern, *f.support, f.discontinuities, 1)
     size = m if m is not None else 4 * kern.n + 256
     if size < kern.n:
         raise PreconditionError(f"quadrature size {size} below rank {kern.n}")
-    nodes, S, _ = _global_rule(kern, size)
-    p = kern.design(x)
-    a = p @ S.T
-    return nodes, np.sum(p * p, axis=1), a * a
+    return _global_rule(kern, size)
+
+
+def nevai_integral(kern: CDKernel, f: TestFunction, x: float, m: int | None = None) -> float:
+    """int (f(y) - f(x)) K_n(x,y)^2 / K_n(x,x) dmu(y)."""
+    return float(_nu_average(kern, x, _nevai_rule(kern, f, m), f)[0] - f(x))
+
+
+def _nevai_points(support: tuple[float, float], alpha: float, xstar: float, n: int,
+                  s_grid: Optional[Sequence[float]] = None):
+    """The grid s and the points x_s = x* + s/n^a of alpha_nevai_functional;
+    DomainError if an x_s leaves the support."""
+    s = np.asarray(_DEFAULT_S_GRID if s_grid is None else s_grid, dtype=float)
+    xs = xstar + s / float(n) ** alpha
+    lo, hi = support
+    outside = xs[~((lo <= xs) & (xs <= hi))]
+    if outside.size:
+        raise DomainError(f"evaluation point {outside[0]} outside the support")
+    return s, xs
 
 
 def alpha_nevai_functional(kern: CDKernel, f: TestFunction, alpha: float, xstar: float,
                            s_grid: Optional[Sequence[float]] = None,
                            m: int | None = None) -> float:
     """sup_s |int (f(s) - f(n^a(y-x*))) K(x_s,y)^2 / K(x_s,x_s) dmu(y)|,
-    where x_s = x* + s/n^a, all s in one batch; DomainError if an x_s leaves
-    the support."""
+    where x_s = x* + s/n^a, all s in one batch, over the whole support: the
+    f(s) term carries the unit mass of nu_{x_s}.  DomainError if an x_s
+    leaves the support."""
     if not (0.0 <= alpha < 1.0):
         raise PreconditionError("alpha must lie in [0, 1)")
-    s = np.asarray(_DEFAULT_S_GRID if s_grid is None else s_grid, dtype=float)
-    n = kern.n
-    xs = xstar + s / float(n) ** alpha
-    lo, hi = kern.measure.support
-    outside = xs[~((lo <= xs) & (xs <= hi))]
-    if outside.size:
-        raise DomainError(f"evaluation point {outside[0]} outside the support")
-    ft = scaled_function(ScaledStatistic(f, alpha, xstar), n)
-    nodes, diag, q = _nevai_rule(kern, ft, m, xs)
-    vals = (f(s) * np.sum(q, axis=1) - q @ ft(nodes)) / diag
+    s, xs = _nevai_points(kern.measure.support, alpha, xstar, kern.n, s_grid)
+    ft = scaled_function(ScaledStatistic(f, alpha, xstar), kern.n)
+    vals = f(s) - _nu_average(kern, xs, _nevai_rule(kern, ft, m), ft)
     return float(np.max(np.abs(vals), initial=0.0))
 
 
@@ -181,9 +178,8 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
     if kern.measure.compact and xstar - delta <= lo and xstar + delta >= hi:
         # full support: the reproducing property int K(x*,y)^2 dmu = K(x*,x*)
         return 1.0
-    nodes, weights = _panel_rule(kern, xstar - delta, xstar + delta, 1)
-    kxx, square = _restricted_square(kern, xstar, nodes, weights)
-    return float(np.sum(square[0])) / float(kxx[0])
+    rule = _window_rule(kern, xstar - delta, xstar + delta, (), 1)
+    return float(_nu_average(kern, xstar, rule, np.ones_like)[0])
 
 
 # ---------------------------------------------------------------------------

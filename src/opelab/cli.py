@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    _nevai_points,
     arcsine_density,
     concentration_mass,
     nevai_integral,
@@ -28,7 +29,7 @@ from .asymptotics import (
     universality_error,
 )
 from .bounds import constant_A, tail_probability_mc
-from .errors import ConfigurationError, OpelabError
+from .errors import ConfigurationError, DomainError, OpelabError
 from .functions import from_spec
 from .kernel import CDKernel
 from .linstat import ScaledStatistic, exact_mean, exact_scaled_variance, exact_variance
@@ -110,6 +111,12 @@ class ExperimentConfig:
         method = raw.get("method", "hkpv")
         if method not in ("hkpv", "tridiagonal"):
             raise ConfigurationError("method must be 'hkpv' or 'tridiagonal'")
+        if experiment in ("nevai", "report"):
+            for n in n_grid:
+                try:
+                    _nevai_points(measure.support, _nevai_alpha(statistic), statistic.xstar, n)
+                except DomainError as exc:
+                    raise ConfigurationError(f"alpha-Nevai grid at n={n}: {exc}") from None
         if experiment in ("sample", "bounds"):
             # bounds draws its Monte Carlo replicas with HKPV whatever the method
             check_sampleable(measure, method if experiment == "sample" else "hkpv")
@@ -156,87 +163,82 @@ def _run_sample(cfg: ExperimentConfig, out: Path) -> list:
     return files
 
 
-def _scaled_variance(kern: CDKernel, s: ScaledStatistic, memo: dict | None) -> float:
-    """exact_scaled_variance, computed once per (n, statistic) in one memo."""
-    if memo is None:
-        return exact_scaled_variance(kern, s)
-    key = (kern.n, s)
-    if key not in memo:
-        memo[key] = exact_scaled_variance(kern, s)
-    return memo[key]
+def _nevai_alpha(s: ScaledStatistic) -> float:
+    """The nevai diagnostics' alpha: the statistic's, or 0.5 if that is 0."""
+    return s.alpha if s.alpha > 0 else 0.5
 
 
-def _run_stats(cfg: ExperimentConfig, out: Path, memo: dict | None = None) -> list:
-    rows = []
+def _scaled_variance(kern: CDKernel, s: ScaledStatistic) -> float:
+    """exact_scaled_variance, computed once per statistic on a kernel."""
+    return kern.cached(("scaled_variance", s), lambda: exact_scaled_variance(kern, s))
+
+
+def _stats_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
     s = cfg.statistic
-    for n in cfg.n_grid:
-        kern = CDKernel(cfg.measure, n)
-        mean = exact_mean(kern, s.f)
-        var = exact_variance(kern, s.f)
-        svar = _scaled_variance(kern, s, memo) if s.alpha > 0 else var
-        rows.append([n, mean, var, svar])
-    path = out / "stats.csv"
-    _write_csv(path, ["n", "mean", "variance", "scaled_variance"], rows)
-    return [path.name]
+    mean = exact_mean(kern, s.f)
+    var = exact_variance(kern, s.f)
+    return [[kern.n, mean, var, _scaled_variance(kern, s) if s.alpha > 0 else var]]
 
 
-def _run_bounds(cfg: ExperimentConfig, out: Path) -> list:
-    rows = []
-    f = cfg.statistic.f
-    for n in cfg.n_grid:
-        kern = CDKernel(cfg.measure, n)
-        norm = float(n) if cfg.normalization == "n" else cfg.normalization
-        results = tail_probability_mc(kern, f, cfg.epsilons, max(1000, cfg.replicas),
-                                      RngStream(cfg.seed, 0), norm)
-        for eps, res in zip(cfg.epsilons, results):
-            rows.append([n, eps, res["empirical"], res["wilson"][0], res["wilson"][1],
-                         res["bound"].rhs, res["bound"].regime, res["dominated"]])
-    path = out / "bounds.csv"
-    _write_csv(path, ["n", "epsilon", "empirical", "wilson_lo", "wilson_hi",
-                      "rhs", "regime", "dominated"], rows)
-    return [path.name]
+def _bounds_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
+    norm = float(kern.n) if cfg.normalization == "n" else cfg.normalization
+    results = tail_probability_mc(kern, cfg.statistic.f, cfg.epsilons, max(1000, cfg.replicas),
+                                  RngStream(cfg.seed, 0), norm)
+    return [[kern.n, eps, res["empirical"], res["wilson"][0], res["wilson"][1],
+             res["bound"].rhs, res["bound"].regime, res["dominated"]]
+            for eps, res in zip(cfg.epsilons, results)]
 
 
-def _run_nevai(cfg: ExperimentConfig, out: Path, memo: dict | None = None) -> list:
-    rows = []
+def _nevai_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
     s = cfg.statistic
-    alpha = s.alpha if s.alpha > 0 else 0.5
-    for n in cfg.n_grid:
-        kern = CDKernel(cfg.measure, n)
-        ni = nevai_integral(kern, s.f, s.xstar)
-        an = alpha_nevai_functional(kern, s.f, alpha, s.xstar)
-        cm = concentration_mass(kern, s.xstar, 0.1)
-        sv = float(n) ** (alpha - 1.0) * _scaled_variance(
-            kern, ScaledStatistic(s.f, alpha, s.xstar), memo)
-        rows.append([n, ni, an, cm, sv])
-    path = out / "nevai.csv"
-    _write_csv(path, ["n", "nevai_integral", "alpha_nevai", "concentration_mass",
-                      "scaled_variance_rate"], rows)
-    return [path.name]
+    alpha = _nevai_alpha(s)
+    ni = nevai_integral(kern, s.f, s.xstar)
+    an = alpha_nevai_functional(kern, s.f, alpha, s.xstar)
+    cm = concentration_mass(kern, s.xstar, 0.1)
+    sv = float(kern.n) ** (alpha - 1.0) * _scaled_variance(
+        kern, ScaledStatistic(s.f, alpha, s.xstar))
+    return [[kern.n, ni, an, cm, sv]]
 
 
-def _run_universality(cfg: ExperimentConfig, out: Path) -> list:
-    rows = []
-    xstar = cfg.statistic.xstar
+def _universality_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
+    ue = universality_error(kern, cfg.statistic.xstar)
+    rho = (arcsine_density(cfg.measure.support) if cfg.measure.compact
+           else semicircle_density(cfg.measure, kern.n))
+    lo, hi = rho.support   # the middle half of the equilibrium support
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    te = totik_error(kern, rho, (mid - 0.5 * half, mid + 0.5 * half))
+    return [[kern.n, ue, te]]
+
+
+# The per-n tables: file, header and the rows of one n for each.
+_TABLES = {
+    "stats": ("stats.csv", ["n", "mean", "variance", "scaled_variance"], _stats_rows),
+    "bounds": ("bounds.csv", ["n", "epsilon", "empirical", "wilson_lo", "wilson_hi",
+                              "rhs", "regime", "dominated"], _bounds_rows),
+    "nevai": ("nevai.csv", ["n", "nevai_integral", "alpha_nevai", "concentration_mass",
+                            "scaled_variance_rate"], _nevai_rows),
+    "universality": ("universality.csv", ["n", "universality_error", "totik_error"],
+                     _universality_rows),
+}
+
+
+def _run_tables(cfg: ExperimentConfig, out: Path, names=None) -> list:
+    """The named tables (the experiment's own by default), every row of an n
+    on one kernel: a report's nevai.csv reuses the rules and scaled variances
+    of its stats.csv.  Each kernel is dropped before the next n."""
+    names = names or (cfg.experiment,)
+    rows = {name: [] for name in names}
     for n in cfg.n_grid:
         kern = CDKernel(cfg.measure, n)
-        ue = universality_error(kern, xstar)
-        rho = (arcsine_density(cfg.measure.support) if cfg.measure.compact
-               else semicircle_density(cfg.measure, n))
-        lo, hi = rho.support   # the middle half of the equilibrium support
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        te = totik_error(kern, rho, (mid - 0.5 * half, mid + 0.5 * half))
-        rows.append([n, ue, te])
-    path = out / "universality.csv"
-    _write_csv(path, ["n", "universality_error", "totik_error"], rows)
-    return [path.name]
+        for name in names:
+            rows[name] += _TABLES[name][2](cfg, kern)
+    for name in names:
+        _write_csv(out / _TABLES[name][0], _TABLES[name][1], rows[name])
+    return [_TABLES[name][0] for name in names]
 
 
 def _run_report(cfg: ExperimentConfig, out: Path) -> list:
-    memo = {}   # nevai.csv reuses the scaled variances of stats.csv
-    files = _run_stats(cfg, out, memo)
-    files += _run_nevai(cfg, out, memo)
-    files += _run_universality(cfg, out)
+    files = _run_tables(cfg, out, ("stats", "nevai", "universality"))
     summary = {
         "constant_A": constant_A().value,
         "measure": cfg.measure.to_json(),
@@ -247,14 +249,7 @@ def _run_report(cfg: ExperimentConfig, out: Path) -> list:
     return files + [path.name]
 
 
-_RUNNERS = {
-    "sample": _run_sample,
-    "stats": _run_stats,
-    "bounds": _run_bounds,
-    "nevai": _run_nevai,
-    "universality": _run_universality,
-    "report": _run_report,
-}
+_RUNNERS = {"sample": _run_sample, "report": _run_report, **dict.fromkeys(_TABLES, _run_tables)}
 
 
 def run(cfg: ExperimentConfig, out_dir: str) -> dict:

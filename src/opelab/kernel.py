@@ -22,8 +22,9 @@ __all__ = [
 
 # Below this separation the two-point formula cancels badly; route to the sum.
 _CD_SWITCH = 1e-6
-# Entries a kernel's cache keeps: a rule per quadrature rung and window, and
-# the sampler's envelope.  No benchmark workload holds more than this at once.
+# Entries a kernel's cache keeps: a rule per quadrature rung and window, the
+# sampler's envelope and a report's scaled variances.  No benchmark workload
+# holds more than this at once.
 _CACHE_SIZE = 32
 
 
@@ -66,15 +67,6 @@ def _one_pass(kern: CDKernel, x, y) -> tuple[np.ndarray, np.ndarray]:
     return P[:, :xf.size], P[:, xf.size:]
 
 
-def _cross(kern: CDKernel, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, size) block of x and K_n(x_i, y_j), from one recurrence pass
-    over the points of x and y."""
-    px, py = _one_pass(kern, x, y)
-    # numpy multiplies a strided row vector without BLAS, so in another
-    # summation order: a contiguous copy of px keeps design(x) @ design(y)^T
-    return px, np.ascontiguousarray(px).T @ py
-
-
 def kernel_sum(kern: CDKernel, x, y) -> np.ndarray | float:
     """K_n(x, y) by direct summation of the orthonormal polynomial products,
     from one recurrence pass over the points of x and y (over x alone if y
@@ -99,7 +91,10 @@ def kernel_matrix(kern: CDKernel, x, y) -> np.ndarray:
     if y is x:
         px = kern.design(x)
         return px @ px.T
-    return _cross(kern, x, y)[1]
+    px, py = _one_pass(kern, x, y)
+    # numpy multiplies a strided row vector without BLAS, so in another
+    # summation order: a contiguous copy of px keeps design(x) @ design(y)^T
+    return np.ascontiguousarray(px).T @ py
 
 
 def kernel_cd(kern: CDKernel, x: float, y: float) -> float:

@@ -169,7 +169,9 @@ def _window_rule(kern: CDKernel, lo: float, hi: float, breaks: Sequence[float], 
     the kernel."""
     def build():
         nodes, weights = _panel_rule(kern, lo, hi, refine, breaks)
-        return _with_diagonal(nodes, np.sqrt(weights)[:, None] * kern.design(nodes))
+        S = kern.design(nodes)
+        S *= np.sqrt(weights)[:, None]   # in place: no second nodes-by-n array
+        return _with_diagonal(nodes, S)
 
     return kern.cached(("window", round(lo, 15), round(hi, 15), tuple(breaks), refine), build)
 

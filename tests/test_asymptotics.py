@@ -135,6 +135,22 @@ class TestAlphaNevai:
         with pytest.raises(DomainError):
             asymptotics.alpha_nevai_functional(kern, BUMP, 0.1, 0.9, s_grid=[2.0])
 
+    @pytest.mark.parametrize("alpha, xstar", [(0.5, 0.0), (0.8, 0.3)])
+    def test_matches_whole_support_gauss_chebyshev(self, alpha, xstar):
+        """nu_{x_s} has mass 1, inside f's window and outside it: the
+        functional matches its definition on the closed-form m-point
+        Gauss-Chebyshev rule (nodes cos((i + 1/2) pi / m), weights 1/m)."""
+        n, m = 50, 20000
+        kern = CDKernel(measures.chebyshev(), n)
+        y = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+        s = np.asarray(asymptotics._DEFAULT_S_GRID)
+        xs = xstar + s / float(n) ** alpha
+        k = kern.design(xs) @ kern.design(y).T
+        avg = (k * k) @ BUMP(float(n) ** alpha * (y - xstar)) / (m * kernel_sum(kern, xs, xs))
+        want = float(np.max(np.abs(BUMP(s) - avg)))
+        got = asymptotics.alpha_nevai_functional(kern, BUMP, alpha, xstar)
+        assert got == pytest.approx(want, abs=1e-13)
+
     def test_global_path_matches_jacobi_closed_form(self):
         # alpha = 0, x_s = x* + s: the value at s is
         # -int ((y - x*)^2 - (x_s - x*)^2) K(x_s,y)^2 / K(x_s,x_s) dmu(y)

@@ -1,9 +1,11 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opelab import cli
+from opelab import cli, linstat
 from opelab.errors import ConfigurationError
 from opelab.sampler import RngStream, sample_gue_batch
 
@@ -111,6 +113,10 @@ class TestMainEntry:
         {"experiment": "bounds", "normalization": True},
         {"experiment": "bounds", "normalization": "2.5"},
         {"statistic": {"f": {"poly": [True, False]}}},
+        {"experiment": "nevai", "measure": {"family": "legendre"}, "n_grid": [10, 50],
+         "statistic": {"f": "smooth_bump", "alpha": 0.5, "xstar": 0.95}},
+        {"experiment": "report", "n_grid": [25, 50],
+         "statistic": {"f": "smooth_bump", "alpha": 0.5, "xstar": 0.9}},
     ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
             "varying_gaussian_n_0", "measure_not_object", "statistic_not_object",
             "n_grid_not_numbers", "n_grid_not_integers", "epsilons_not_list",
@@ -118,7 +124,8 @@ class TestMainEntry:
             "tridiagonal_on_chebyshev", "varying_gaussian_n_not_integer",
             "varying_gaussian_n_bool", "varying_gaussian_unknown_param",
             "legendre_unknown_param", "params_not_object", "discretized_family",
-            "normalization_bool", "normalization_string", "poly_bools"])
+            "normalization_bool", "normalization_string", "poly_bools",
+            "nevai_grid_leaves_support", "report_nevai_grid_leaves_support"])
     def test_bad_config_exits_2_up_front(self, tmp_path, change):
         payload = dict(BASE, **change)
         path = write_config(tmp_path, payload)
@@ -249,6 +256,22 @@ class TestMainEntry:
             "stats.csv", "nevai.csv", "universality.csv", "report.json"}
         report = json.loads((out / "report.json").read_text())
         assert report["measure"]["family"] == "chebyshev1st"
+
+    def test_report_builds_each_panel_rule_once_per_n(self, tmp_path, monkeypatch):
+        """The report's stages share one kernel per n, so the alpha-Nevai
+        functional reuses the scaled variance's window rule."""
+        inner, calls = linstat._panel_rule, []
+
+        def counted(kern, lo, hi, refine, breaks=()):
+            calls.append((kern.n, lo, hi, refine, tuple(breaks)))
+            return inner(kern, lo, hi, refine, breaks)
+
+        for mod in [m for name, m in sys.modules.items() if name.startswith("opelab")]:
+            if getattr(mod, "_panel_rule", None) is inner:
+                monkeypatch.setattr(mod, "_panel_rule", counted)
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "report_chebyshev.json")
+        assert cli.main(["report", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert calls and len(set(calls)) == len(calls)
 
     def test_universality_varying_gaussian(self, tmp_path):
         payload = dict(BASE, experiment="universality", n_grid=[20],

@@ -167,20 +167,25 @@ def _passes(monkeypatch):
     return calls
 
 
-def _two_pass_square(kern, x, nodes, weights):
-    """(w_i K_n(x_k, z_i)^2)_{k,i} with one pass per point set."""
-    kxz = kern.design(x) @ kern.design(nodes).T
-    return weights * kxz * kxz
+def _panel_design(kern, lo, hi, breaks=()):
+    """The base panels of [lo, hi] with their sqrt-weight-scaled design."""
+    nodes, weights = _panel_rule(kern, lo, hi, 1, breaks)
+    return nodes, np.sqrt(weights)[:, None] * kern.design(nodes)
 
 
-def _two_pass_nevai(kern, f, x):
-    """Nodes and square of asymptotics._nevai_rule with one pass per point set."""
+def _nu_mean(kern, x, rule, g):
+    """The mean of g under K_n(x,y)^2 dmu(y) / K_n(x,x) at each point of x,
+    with one pass per point set."""
+    nodes, S = rule
+    p = kern.design(x)
+    return np.square(p @ S.T) @ g(nodes) / np.sum(p * p, axis=1)
+
+
+def _nevai_reference_rule(kern, f):
+    """The rule of asymptotics._nevai_rule, built from its primitives."""
     if f.support is not None:
-        nodes, weights = _panel_rule(kern, *f.support, 1, f.discontinuities)
-        return nodes, _two_pass_square(kern, x, nodes, weights)
-    nodes, S, _ = _global_rule(kern, 4 * kern.n + 256)
-    a = kern.design(x) @ S.T
-    return nodes, a * a
+        return _panel_design(kern, *f.support, f.discontinuities)
+    return _global_rule(kern, 4 * kern.n + 256)[:2]
 
 
 class TestOnePassPerCall:
@@ -234,9 +239,8 @@ class TestOnePassPerCall:
         f = functions.get("smooth_bump" if path == "restricted" else "cosine")
         for x in (0.0, 0.31 * c, -0.47 * c):
             got = self._once(monkeypatch, lambda: asymptotics.nevai_integral(kern, f, x))
-            nodes, square = _two_pass_nevai(kern, f, x)
-            kxx = float(kernel_sum(kern, x, x))
-            assert got == (float(np.sum(f(nodes) * square)) - f(x) * kxx) / kxx
+            rule = _nevai_reference_rule(kern, f)
+            assert got == float(_nu_mean(kern, x, rule, f)[0]) - f(x)
         for x in (0.0, -0.1 * c):   # every x + s / n^alpha inside the support
             for alpha in (0.5, 0.8):
                 got = self._once(monkeypatch,
@@ -244,9 +248,7 @@ class TestOnePassPerCall:
                 s = np.asarray(asymptotics._DEFAULT_S_GRID)
                 xs = x + s / float(kern.n) ** alpha
                 ft = scaled_function(ScaledStatistic(f, alpha, x), kern.n)
-                nodes, q = _two_pass_nevai(kern, ft, xs)
-                p = kern.design(xs)
-                vals = (f(s) * np.sum(q, axis=1) - q @ ft(nodes)) / np.sum(p * p, axis=1)
+                vals = f(s) - _nu_mean(kern, xs, _nevai_reference_rule(kern, ft), ft)
                 assert got == float(np.max(np.abs(vals), initial=0.0))
 
     def test_concentration_mass(self, kern, monkeypatch):
@@ -255,6 +257,5 @@ class TestOnePassPerCall:
             for delta in (0.05, 0.1, 0.5):
                 got = self._once(monkeypatch,
                                  lambda: asymptotics.concentration_mass(kern, x, delta))
-                nodes, weights = _panel_rule(kern, x - delta, x + delta, 1)
-                square = _two_pass_square(kern, x, nodes, weights)[0]
-                assert got == float(np.sum(square)) / float(kernel_sum(kern, x, x))
+                rule = _panel_design(kern, x - delta, x + delta)
+                assert got == float(_nu_mean(kern, x, rule, np.ones_like)[0])

@@ -4,7 +4,8 @@ panel rules in one builder, linstat._panel_rule.
 Outside measures.py no module may compare a family name to a string
 literal or index a measure's params: whatever depends on the family is an
 entry of measures.FAMILIES.  Outside linstat.py no module may call a
-Gauss-Legendre panel primitive.
+Gauss-Legendre panel primitive or _panel_rule itself: every rule is built
+in linstat, around the kernel's cache.
 """
 
 import ast
@@ -46,7 +47,7 @@ def test_no_family_dispatch_outside_measures(path):
     assert [f"{path}:{line}: {what}" for line, what in _breaches(tree)] == []
 
 
-_PANEL_PRIMITIVES = ("_gl_panels", "leggauss")
+_PANEL_PRIMITIVES = ("_gl_panels", "leggauss", "_panel_rule")
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
