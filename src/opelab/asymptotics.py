@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .kernel import CDKernel, _sqrt_weight, kernel_matrix, kernel_tilde
-from .linstat import (ScaledStatistic, TestFunction, _global_rule, _window_rule,
+from .linstat import (_M_BASE, ScaledStatistic, TestFunction, _global_rule, _window_rule,
                       exact_scaled_variance, scaled_function)
 from .measures import Measure
 
@@ -128,10 +128,16 @@ def _nu_average(kern: CDKernel, x, rule, g: Callable) -> np.ndarray:
 def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
     """The cached rule resolving both f and the degree-(2n-2) kernel square:
     the base panels of f's finite support, split at its discontinuities, or
-    else the m-point mu-Gauss rule (4n + 256 by default)."""
-    if f.support is not None and all(math.isfinite(v) for v in f.support):
-        return _window_rule(kern, *f.support, f.discontinuities, 1)
-    size = m if m is not None else 4 * kern.n + 256
+    else the m-point mu-Gauss rule (4n + 128 by default, the moments' second
+    rung).  A continuous f whose support covers a compact support takes the
+    mu-Gauss rule too: it integrates a Jacobi end weight exactly, where theta
+    panels near a singular end stall at errors of 3e-6."""
+    mu, win = kern.measure, f.support
+    covers = (mu.compact and win is not None and not f.discontinuities
+              and win[0] <= mu.support[0] and mu.support[1] <= win[1])
+    if win is not None and all(math.isfinite(v) for v in win) and not covers:
+        return _window_rule(kern, *win, f.discontinuities, 1)
+    size = m if m is not None else 2 * (2 * kern.n + _M_BASE)   # the ladder's second rung
     if size < kern.n:
         raise PreconditionError(f"quadrature size {size} below rank {kern.n}")
     return _global_rule(kern, size)
@@ -186,18 +192,26 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
 # Universality and density convergence
 # ---------------------------------------------------------------------------
 
+def _universality_points(kern: CDKernel, x: float, box: float = 2.0, grid: int = 41):
+    """The grid s in [-box, box], Kt(x, x) and the points x + s / Kt(x, x) of
+    universality_error; DomainError, as in scaled_kernel, if Kt(x, x)
+    vanishes or a point leaves the support."""
+    s = np.linspace(-box, box, grid)
+    k0 = float(kernel_tilde(kern, x, x))
+    if k0 <= 0.0:
+        raise DomainError(f"weighted kernel vanishes on the diagonal at x={x}")
+    z = x + s / k0
+    lo, hi = kern.measure.support
+    if not np.all((lo <= z) & (z <= hi)):
+        raise DomainError("rescaled argument left the support of the measure")
+    return s, k0, z
+
+
 def universality_error(kern: CDKernel, x: float, box: float = 2.0, grid: int = 41) -> float:
     """sup over an (a,b) grid in [-box, box]^2 of |scaled_kernel(kern, x, a, b)
     - sine_kernel(a, b)|, from one kernel_matrix on the rescaled grid points;
     DomainError, as in scaled_kernel, if one of them leaves the support."""
-    pts = np.linspace(-box, box, grid)
-    k0 = float(kernel_tilde(kern, x, x))
-    if k0 <= 0.0:
-        raise DomainError(f"weighted kernel vanishes on the diagonal at x={x}")
-    z = x + pts / k0
-    lo, hi = kern.measure.support
-    if not np.all((lo <= z) & (z <= hi)):
-        raise DomainError("rescaled argument left the support of the measure")
+    pts, k0, z = _universality_points(kern, x, box, grid)
     sw = _sqrt_weight(kern, z)
     scaled = np.outer(sw, sw) * kernel_matrix(kern, z, z) / k0
     return float(np.max(np.abs(scaled - np.sinc(pts[None, :] - pts[:, None]))))

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     _nevai_points,
+    _universality_points,
     arcsine_density,
     concentration_mass,
     nevai_integral,
@@ -117,6 +118,13 @@ class ExperimentConfig:
                     _nevai_points(measure.support, _nevai_alpha(statistic), statistic.xstar, n)
                 except DomainError as exc:
                     raise ConfigurationError(f"alpha-Nevai grid at n={n}: {exc}") from None
+        if experiment in ("universality", "report") and measure.compact:
+            # a line measure's support holds every rescaled point
+            for n in n_grid:
+                try:
+                    _universality_points(CDKernel(measure, n), statistic.xstar)
+                except DomainError as exc:
+                    raise ConfigurationError(f"universality grid at n={n}: {exc}") from None
         if experiment in ("sample", "bounds"):
             # bounds draws its Monte Carlo replicas with HKPV whatever the method
             check_sampleable(measure, method if experiment == "sample" else "hkpv")

@@ -62,6 +62,10 @@ class RecurrenceCoefficients:
 
     diag: np.ndarray
     offdiag: np.ndarray
+    # The steps of orthonormal_prefix as Python floats: (a, b) with a[j] the
+    # coefficient a_j, or None where it is +0.0 and x - a_j == x exactly, and
+    # b[j] the coefficient b_{j+1}.
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=float)
@@ -75,6 +79,9 @@ class RecurrenceCoefficients:
         if np.any(offdiag <= 0.0):
             k = int(np.argmax(offdiag <= 0.0))
             raise InstabilityError(k + 1, float(offdiag[k]))
+        a = tuple(None if c == 0.0 and math.copysign(1.0, c) > 0.0 else c
+                  for c in diag.tolist())
+        object.__setattr__(self, "steps", (a, tuple(offdiag.tolist())))
 
     @property
     def depth(self) -> int:
@@ -84,24 +91,39 @@ class RecurrenceCoefficients:
 def orthonormal_prefix(coeffs: RecurrenceCoefficients, k: int, x) -> np.ndarray:
     """All of p_0(x),...,p_k(x) in one forward-recurrence pass.
 
-    Returns an array of shape (k+1,) + shape(x).
+    Returns an array of shape (k+1,) + shape(x).  A single point runs on
+    Python floats, more points degree by degree in place; both take the
+    same IEEE steps in the same order, so their values agree bit for bit.
     """
     if k < 0 or k > coeffs.depth:
         raise PreconditionError(f"index {k} out of range for depth {coeffs.depth}")
     xv = np.asarray(x, dtype=float)
+    a, b = coeffs.steps
+    if xv.size == 1:
+        t = xv.item()
+        p = [1.0]
+        if k:
+            p.append((t if a[0] is None else t - a[0]) / b[0])
+        for j in range(1, k):
+            p.append(((t if a[j] is None else t - a[j]) * p[j] - b[j - 1] * p[j - 1]) / b[j])
+        return np.array(p).reshape((k + 1,) + xv.shape)
     out = np.empty((k + 1,) + xv.shape)
     out[0] = 1.0
     if k == 0:
         return out
-    # Coefficients as Python floats, and a zero a_j (None below) skipped since
-    # x - 0.0 == x exactly: the same values as with the arrays' own entries.
-    a = [None if c == 0.0 and math.copysign(1.0, c) > 0.0 else c
-         for c in coeffs.diag[:k].tolist()]
-    b = coeffs.offdiag[:k].tolist()
-    out[1] = (xv if a[0] is None else xv - a[0]) / b[0]
+    p = list(out)   # the rows as views, made once
+    np.divide(xv if a[0] is None else xv - a[0], b[0], p[1])
+    tmp = np.empty(xv.shape)
     for j in range(1, k):
-        shifted = xv if a[j] is None else xv - a[j]
-        out[j + 1] = (shifted * out[j] - b[j - 1] * out[j - 1]) / b[j]
+        # p[j+1] = ((x - a_j) p[j] - b_j p[j-1]) / b_{j+1}, with no temporaries
+        if a[j] is None:
+            np.multiply(xv, p[j], p[j + 1])
+        else:
+            np.subtract(xv, a[j], tmp)
+            np.multiply(tmp, p[j], p[j + 1])
+        np.multiply(b[j - 1], p[j - 1], tmp)
+        np.subtract(p[j + 1], tmp, p[j + 1])
+        np.divide(p[j + 1], b[j], p[j + 1])
     return out
 
 

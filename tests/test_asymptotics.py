@@ -112,6 +112,27 @@ class TestNevaiIntegral:
                                     abs=1e-12)
 
 
+    @pytest.mark.parametrize("a, b, x", [(0.5, -0.3, 0.0), (-0.3, 2.0, 0.9), (-0.3, 2.0, 0.0)])
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_covering_support_matches_large_gauss_rule(self, a, b, x, n):
+        """A continuous f whose support covers a Jacobi weight's singular
+        ends takes the mu-Gauss rule; theta panels there were off by 2e-6."""
+        kern = CDKernel(measures.jacobi(a, b), n)
+        ev = lambda y: np.cos(np.pi * y)
+        covering = TestFunction(ev, sup_norm=1.0, support=(-1.0, 1.0))
+        want = asymptotics.nevai_integral(kern, TestFunction(ev, sup_norm=1.0), x,
+                                          m=16 * n + 1024)
+        assert asymptotics.nevai_integral(kern, covering, x) == pytest.approx(want, abs=1e-13)
+
+    def test_covering_support_with_a_jump_keeps_the_split_panels(self):
+        kern = CDKernel(measures.jacobi(0.5, -0.3), 20)
+        step = TestFunction(lambda y: np.where(y >= 0.2, 1.0, 0.0), sup_norm=1.0,
+                            support=(-1.0, 1.0), discontinuities=(0.2,))
+        asymptotics.nevai_integral(kern, step, 0.0)
+        assert [key[0] for key in kern.cache] == ["window"]
+        assert next(iter(kern.cache))[3] == (0.2,)
+
+
 class TestAlphaNevai:
     def test_constant_is_exactly_zero(self):
         kern = CDKernel(measures.chebyshev(), 20)

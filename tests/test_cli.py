@@ -78,6 +78,13 @@ class TestMainEntry:
         assert cli.main(["validate", "--config", path]) == 0
         assert capsys.readouterr().out.strip() == "valid"
 
+    @pytest.mark.parametrize("config", sorted(
+        p.name for p in (Path(__file__).resolve().parent.parent / "configs").glob("*.json")))
+    def test_committed_configs_validate(self, config, capsys):
+        path = Path(__file__).resolve().parent.parent / "configs" / config
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
+
     def test_validate_bad_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "stats", "n_grid": [3, 2]})
         assert cli.main(["validate", "--config", path]) == 2
@@ -117,6 +124,13 @@ class TestMainEntry:
          "statistic": {"f": "smooth_bump", "alpha": 0.5, "xstar": 0.95}},
         {"experiment": "report", "n_grid": [25, 50],
          "statistic": {"f": "smooth_bump", "alpha": 0.5, "xstar": 0.9}},
+        {"experiment": "universality", "n_grid": [10],
+         "statistic": {"f": "identity", "xstar": 0.99}},
+        {"experiment": "report", "measure": {"family": "jacobi",
+                                             "params": {"a_exp": 20, "b_exp": 0.5}},
+         "n_grid": [10], "statistic": {"f": "smooth_bump", "alpha": 0.9, "xstar": 0.5}},
+        {"experiment": "universality", "measure": {"family": "legendre"},
+         "statistic": {"f": "identity", "xstar": 1.0}},
     ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
             "varying_gaussian_n_0", "measure_not_object", "statistic_not_object",
             "n_grid_not_numbers", "n_grid_not_integers", "epsilons_not_list",
@@ -125,7 +139,9 @@ class TestMainEntry:
             "varying_gaussian_n_bool", "varying_gaussian_unknown_param",
             "legendre_unknown_param", "params_not_object", "discretized_family",
             "normalization_bool", "normalization_string", "poly_bools",
-            "nevai_grid_leaves_support", "report_nevai_grid_leaves_support"])
+            "nevai_grid_leaves_support", "report_nevai_grid_leaves_support",
+            "universality_grid_leaves_support", "report_universality_grid_leaves_support",
+            "universality_weight_vanishes"])
     def test_bad_config_exits_2_up_front(self, tmp_path, change):
         payload = dict(BASE, **change)
         path = write_config(tmp_path, payload)
@@ -272,6 +288,8 @@ class TestMainEntry:
         config = str(Path(__file__).resolve().parent.parent / "configs" / "report_chebyshev.json")
         assert cli.main(["report", "--config", config, "--out", str(tmp_path / "out")]) == 0
         assert calls and len(set(calls)) == len(calls)
+        # nevai_integral of the unscaled bump reuses the moments' mu-Gauss rule
+        assert not [c for c in calls if c[1] <= -1.0 and c[2] >= 1.0]
 
     def test_universality_varying_gaussian(self, tmp_path):
         payload = dict(BASE, experiment="universality", n_grid=[20],

@@ -182,10 +182,14 @@ def _nu_mean(kern, x, rule, g):
 
 
 def _nevai_reference_rule(kern, f):
-    """The rule of asymptotics._nevai_rule, built from its primitives."""
-    if f.support is not None:
+    """The rule of asymptotics._nevai_rule, built from its primitives: a
+    continuous f covering a compact support takes the mu-Gauss rule."""
+    mu = kern.measure
+    covers = (f.support is not None and mu.compact and not f.discontinuities
+              and f.support[0] <= mu.support[0] and mu.support[1] <= f.support[1])
+    if f.support is not None and not covers:
         return _panel_design(kern, *f.support, f.discontinuities)
-    return _global_rule(kern, 4 * kern.n + 256)[:2]
+    return _global_rule(kern, 4 * kern.n + 128)[:2]
 
 
 class TestOnePassPerCall:

@@ -84,7 +84,8 @@ def _textbook_prefix(co, k, x):
 
 
 _X_SHAPES = [0.3, -0.0, np.array(-0.7), np.linspace(-1.1, 1.1, 23),
-             np.linspace(-0.95, 0.95, 12).reshape(3, 4), np.array([1e200, -3.0, -0.0, 0.0])]
+             np.linspace(-0.95, 0.95, 12).reshape(3, 4), np.array([1e200, -3.0, -0.0, 0.0]),
+             np.array([-0.45]), np.array([[0.62]]), np.array([1e200])]
 
 
 class TestOrthonormalPrefixRecurrence:
@@ -98,7 +99,8 @@ class TestOrthonormalPrefixRecurrence:
     ], ids=["chebyshev", "legendre", "jacobi", "minus_zero_diag"])
     @pytest.mark.parametrize("k", [0, 1, 2, 49])
     @pytest.mark.parametrize("x", _X_SHAPES, ids=["float", "minus_zero", "0d", "1d", "2d",
-                                                  "overflow"])
+                                                  "overflow", "one_point_1d", "one_point_2d",
+                                                  "one_point_overflow"])
     def test_matches_textbook(self, coeffs, k, x):
         with np.errstate(over="ignore", invalid="ignore"):
             got = measures.orthonormal_prefix(coeffs, k, x)
