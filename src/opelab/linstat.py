@@ -127,7 +127,7 @@ def _global_rule(kern: CDKernel, m: int):
     return kern.cached(("global", m), build)
 
 
-def _panel_rule(kern: CDKernel, lo: float, hi: float, refine: int,
+def _panel_rule(kern: CDKernel, lo: float, hi: float, refine: float,
                 breaks: Sequence[float] = ()):
     """Composite 16-point Gauss-Legendre rule for mu on [lo, hi], as (nodes, weights).
 
@@ -136,7 +136,9 @@ def _panel_rule(kern: CDKernel, lo: float, hi: float, refine: int,
     to theta = 0 and pi.  On the line they lie in x, on [lo, hi] cut at the
     spectral edge plus 8 b_1, and carry the raw weight.  The span, of length
     L in that coordinate, is split at the breaks inside (lo, hi) and gets
-    refine * max(32, int(2 n L) + 16) panels, spread over its pieces by length.
+    int(refine * max(32, int(2 n L) + 16)) panels, spread over its pieces by
+    length.  refine = 1 is the base rule, the one every window integral
+    without a ladder reads; _ladder's rungs are refine = 1/2, 1, 2, ..., 16.
     """
     mu, n = kern.measure, kern.n
     if mu.compact:
@@ -150,7 +152,7 @@ def _panel_rule(kern: CDKernel, lo: float, hi: float, refine: int,
         to = lambda x: min(max(x, -edge), edge)
     brk = sorted({to(lo), to(hi)} | {to(d) for d in breaks if lo < d < hi})
     total = brk[-1] - brk[0]
-    npanels = refine * max(32, int(2 * n * total) + 16)
+    npanels = int(refine * max(32, int(2 * n * total) + 16))
     edges = [brk[0]]
     for a, b in zip(brk[:-1], brk[1:]):
         edges.extend(np.linspace(a, b, max(1, int(round(npanels * (b - a) / total))) + 1)[1:])
@@ -164,7 +166,7 @@ def _panel_rule(kern: CDKernel, lo: float, hi: float, refine: int,
     return u, weights * mu.weight(u)
 
 
-def _window_rule(kern: CDKernel, lo: float, hi: float, breaks: Sequence[float], refine: int):
+def _window_rule(kern: CDKernel, lo: float, hi: float, breaks: Sequence[float], refine: float):
     """_panel_rule on [lo, hi] as (nodes, S, kd) like _global_rule, cached on
     the kernel."""
     def build():
@@ -226,6 +228,14 @@ def _ladder(kern: CDKernel, f: TestFunction, m: int | None, terms: Sequence) -> 
     base panel count, and each term stops at the first rung that agrees with
     its own previous rung, or at the cap, as it would if refined alone.
 
+    The mu-Gauss rungs are 2n + 64, 4n + 128, ...; the window rungs are half
+    the base panel count, then the base, 2, 4, ..., 16 times it.  So both
+    ladders, when they converge on their second rung, end on the rule that
+    the integrals without a ladder read: 4n + 128 nodes for a covering Nevai
+    f (asymptotics._nevai_rule), the base panels for a windowed one, for
+    concentration_mass and for every call given m.  The half-size rung only
+    certifies the base rule; no term returns its value.
+
     A term that reaches the cap returns its value on that rung, converged or
     not: exact_variance of functions.get("step") on the Chebyshev kernel at
     n = 50 climbs to the cap 16n + 1024 and returns 0.3417412 against
@@ -238,7 +248,7 @@ def _ladder(kern: CDKernel, f: TestFunction, m: int | None, terms: Sequence) -> 
     if win is None:
         size, cap = 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE
     else:
-        size, cap = 1, _M_CAP_FACTOR   # the panel count's multiplier
+        size, cap = 0.5, _M_CAP_FACTOR   # the base panel count's multiplier
     if m is not None:
         size = cap = m if win is None else 1
     vals = [None] * len(terms)   # each term's value on the last rung it reached

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,10 +63,6 @@ class RecurrenceCoefficients:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    # The steps of orthonormal_prefix as Python floats: (a, b) with a[j] the
-    # coefficient a_j, or None where it is +0.0 and x - a_j == x exactly, and
-    # b[j] the coefficient b_{j+1}.
-    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=float)
@@ -79,9 +76,16 @@ class RecurrenceCoefficients:
         if np.any(offdiag <= 0.0):
             k = int(np.argmax(offdiag <= 0.0))
             raise InstabilityError(k + 1, float(offdiag[k]))
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The steps of orthonormal_prefix as Python floats, made on its first
+        pass: (a, b) with a[j] the coefficient a_j, or None where it is +0.0
+        and x - a_j == x exactly, and b[j] the coefficient b_{j+1}.  A Gauss
+        rule by eigensolve never asks for them."""
         a = tuple(None if c == 0.0 and math.copysign(1.0, c) > 0.0 else c
-                  for c in diag.tolist())
-        object.__setattr__(self, "steps", (a, tuple(offdiag.tolist())))
+                  for c in self.diag.tolist())
+        return a, tuple(self.offdiag.tolist())
 
     @property
     def depth(self) -> int:
@@ -237,6 +241,11 @@ def _varying_gaussian_coeffs(depth: int, n: int) -> RecurrenceCoefficients:
 # Measure
 # ---------------------------------------------------------------------------
 
+# Depths of RecurrenceCoefficients a measure keeps: a report asks for n and
+# n + 1 per n (densities and kernels) and m per Gauss rule by eigensolve.
+_RECURRENCE_STORE = 8
+
+
 @dataclass
 class Measure:
     """A reference probability measure with its orthonormal polynomial system."""
@@ -245,8 +254,10 @@ class Measure:
     params: dict
     support: tuple[float, float]
 
-    _diag: np.ndarray = field(default=None, repr=False, compare=False)
-    _off: np.ndarray = field(default=None, repr=False, compare=False)
+    # The family's coefficients to the deepest depth asked for so far, and
+    # the RecurrenceCoefficients handed out, one per depth (see recurrence).
+    _deepest: RecurrenceCoefficients = field(default=None, repr=False, compare=False)
+    _store: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def spec(self) -> "Family":
@@ -292,12 +303,25 @@ class Measure:
     # -- recurrence coefficients, lazily extended ---------------------------
 
     def recurrence(self, depth: int) -> RecurrenceCoefficients:
+        """The first depth coefficients, as one object per depth: every
+        CDKernel, Gauss rule and density of this measure at that depth shares
+        it, and with it the step tuples of orthonormal_prefix.  The store
+        keeps the _RECURRENCE_STORE newest depths, evicting the oldest first;
+        a slice of the deepest coefficients rebuilds an evicted one with the
+        same values."""
         if depth < 1:
             raise PreconditionError("depth must be >= 1")
-        if self._diag is None or len(self._diag) < depth:
-            coeffs = self.spec.recurrence(self, max(depth, 16))
-            self._diag, self._off = coeffs.diag, coeffs.offdiag
-        return RecurrenceCoefficients(self._diag[:depth], self._off[:depth])
+        coeffs = self._store.get(depth)
+        if coeffs is None:
+            deepest = self._deepest
+            if deepest is None or deepest.depth < depth:
+                deepest = self._deepest = self.spec.recurrence(self, max(depth, 16))
+            coeffs = deepest if deepest.depth == depth else RecurrenceCoefficients(
+                deepest.diag[:depth], deepest.offdiag[:depth])
+            if len(self._store) >= _RECURRENCE_STORE:
+                del self._store[next(iter(self._store))]
+            self._store[depth] = coeffs
+        return coeffs
 
     def gauss_rule(self, m: int):
         """m-point Gauss rule with respect to the measure, as (nodes, weights)

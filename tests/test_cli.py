@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opelab import cli, linstat
+from opelab import cli, linstat, measures
 from opelab.errors import ConfigurationError
 from opelab.sampler import RngStream, sample_gue_batch
 
@@ -23,6 +23,7 @@ BASE = {
     "statistic": {"f": "identity", "alpha": 0.0, "xstar": 0.0},
     "seed": 7,
 }
+REPORT = Path(__file__).resolve().parent.parent / "configs" / "report_chebyshev.json"
 
 
 class TestConfigValidation:
@@ -275,7 +276,9 @@ class TestMainEntry:
 
     def test_report_builds_each_panel_rule_once_per_n(self, tmp_path, monkeypatch):
         """The report's stages share one kernel per n, so the alpha-Nevai
-        functional reuses the scaled variance's window rule."""
+        functional reuses the scaled variance's window rule.  That window's
+        ladder builds the half-size and base rules and stops; the
+        concentration window takes its base rule alone."""
         inner, calls = linstat._panel_rule, []
 
         def counted(kern, lo, hi, refine, breaks=()):
@@ -285,11 +288,31 @@ class TestMainEntry:
         for mod in [m for name, m in sys.modules.items() if name.startswith("opelab")]:
             if getattr(mod, "_panel_rule", None) is inner:
                 monkeypatch.setattr(mod, "_panel_rule", counted)
-        config = str(Path(__file__).resolve().parent.parent / "configs" / "report_chebyshev.json")
-        assert cli.main(["report", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["report", "--config", str(REPORT), "--out", str(tmp_path / "out")]) == 0
         assert calls and len(set(calls)) == len(calls)
         # nevai_integral of the unscaled bump reuses the moments' mu-Gauss rule
         assert not [c for c in calls if c[1] <= -1.0 and c[2] >= 1.0]
+        raw = json.loads(REPORT.read_text())
+        stat = raw["statistic"]
+        for n in raw["n_grid"]:
+            h = 1.0 / float(n) ** stat["alpha"]   # the bump's window x* -+ n^-alpha
+            x = stat["xstar"]
+            assert {c[1:4] for c in calls if c[0] == n} == {
+                (x - h, x + h, 0.5), (x - h, x + h, 1), (x - 0.1, x + 0.1, 1)}
+
+    def test_report_builds_each_recurrence_once_per_config(self, tmp_path, monkeypatch):
+        """Kernels, rules and densities of one measure share its recurrence
+        coefficients per depth: a report builds one per kernel rank, and a
+        second run of the same config builds none."""
+        built, init = [], measures.RecurrenceCoefficients.__post_init__
+        monkeypatch.setattr(measures.RecurrenceCoefficients, "__post_init__",
+                            lambda co: (built.append(len(co.diag)), init(co))[1])
+        config = cli.ExperimentConfig.from_dict(json.loads(REPORT.read_text()))
+        cli.run(config, str(tmp_path / "first"))
+        assert 1 <= len(built) <= 4
+        built.clear()
+        cli.run(config, str(tmp_path / "second"))
+        assert built == []
 
     def test_universality_varying_gaussian(self, tmp_path):
         payload = dict(BASE, experiment="universality", n_grid=[20],

@@ -496,3 +496,58 @@ class TestPanelRuleWeights:
         assert abs(w.sum() - (ndtr(0.3 * math.sqrt(n)) - ndtr(-0.5 * math.sqrt(n)))) <= 1e-13
         _, w = linstat._panel_rule(kern, -math.inf, math.inf, 1)   # cut at the spectral edge
         assert abs(w.sum() - 1.0) <= 1e-14
+
+
+def _window_reference(kern, f, win, ts, refine=8, block=4096):
+    """Mean, variance and log E e^{tX_f} for t in ts on the window's panel
+    rule at the given refine, summed over blocks of nodes so that a large
+    rule never holds its whole design at once."""
+    nodes, weights = linstat._panel_rule(kern, win[0], win[1], refine, f.discontinuities)
+    n = kern.n
+    mean = square = 0.0
+    F = np.zeros((n, n))
+    M = [np.eye(n) for _ in ts]
+    for i in range(0, len(nodes), block):
+        S = np.sqrt(weights[i:i + block])[:, None] * kern.design(nodes[i:i + block])
+        fv, kd = f(nodes[i:i + block]), (S * S).sum(axis=1)
+        mean += (fv * kd).sum()
+        square += (fv * fv * kd).sum()
+        F += S.T @ (fv[:, None] * S)
+        for Mt, t in zip(M, ts):
+            Mt += S.T @ (np.expm1(t * fv)[:, None] * S)
+    logdets = []
+    for Mt in M:
+        sign, logdet = np.linalg.slogdet(Mt)
+        assert sign > 0.0
+        logdets.append(logdet)
+    return [mean, square - (F * F).sum(), *logdets]
+
+
+class TestWindowLadder:
+    """The window ladder reads a converged moment off the base panel rule and
+    certifies it with the half-size rung: cold moments of a scaled bump agree
+    with a fixed refine-8 rule, and the kernel then holds exactly those two
+    window rules.  The half-size rung alone is off by up to 1.6e-12 here
+    (Legendre, n = 5, alpha = 0.5, x* = 0.5)."""
+
+    @pytest.mark.parametrize("family", ["chebyshev", "legendre", "jacobi(0.5,-0.3)",
+                                        "jacobi(-0.3,2)"])
+    @pytest.mark.parametrize("n", [5, 50, 400])
+    def test_cold_moments_read_off_the_base_rule(self, family, n):
+        mu = _EDGE_FAMILIES[family]()
+        windows = 0
+        for alpha in (0.2, 0.5, 0.8):
+            for xstar in (0.0, 0.5, 0.9):
+                f = scaled_function(ScaledStatistic(BUMP, alpha, xstar), n)
+                kern = CDKernel(mu, n)
+                win = linstat._window_for(kern, f)
+                if win is None:
+                    continue
+                windows += 1
+                got = [exact_mean(kern, f), exact_variance(kern, f),
+                       log_mgf(kern, f, 0.3), log_mgf(kern, f, -0.3)]
+                want = _window_reference(kern, f, win, (0.3, -0.3))
+                for g, v in zip(got, want):
+                    assert abs(g - v) <= 1e-13 * (1.0 + abs(v)), (alpha, xstar, got, want)
+                assert sorted(key[-1] for key in kern.cache) == [0.5, 1], (alpha, xstar)
+        assert windows

@@ -51,6 +51,21 @@ class TestClassicalRecurrences:
         with pytest.raises(PreconditionError):
             measures.legendre().recurrence(0)
 
+    def test_recurrence_is_one_object_per_depth(self):
+        mu = measures.jacobi(0.5, -0.3)
+        co = mu.recurrence(20)
+        deeper = mu.recurrence(100)   # extends the family's coefficients
+        assert mu.recurrence(20) is co
+        assert deeper.diag[:20].tobytes() == co.diag.tobytes()
+        assert deeper.offdiag[:20].tobytes() == co.offdiag.tobytes()
+        for depth in range(1, measures._RECURRENCE_STORE + 1):
+            mu.recurrence(depth)
+        assert len(mu._store) == measures._RECURRENCE_STORE
+        again = mu.recurrence(20)      # evicted, then sliced anew: same values
+        assert again is not co
+        assert again.diag.tobytes() == co.diag.tobytes()
+        assert again.offdiag.tobytes() == co.offdiag.tobytes()
+
 
 class TestRecurrenceCoefficients:
     def test_nonpositive_offdiag_is_instability(self):

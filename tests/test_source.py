@@ -1,11 +1,14 @@
-"""Family knowledge lives in the table of opelab.measures, and composite
-panel rules in one builder, linstat._panel_rule.
+"""Family knowledge lives in the table of opelab.measures, recurrence
+coefficients in each measure's store, and composite panel rules in one
+builder, linstat._panel_rule.
 
 Outside measures.py no module may compare a family name to a string
 literal or index a measure's params: whatever depends on the family is an
-entry of measures.FAMILIES.  Outside linstat.py no module may call a
-Gauss-Legendre panel primitive or _panel_rule itself: every rule is built
-in linstat, around the kernel's cache.
+entry of measures.FAMILIES.  Nor may it build RecurrenceCoefficients: every
+module takes them from Measure.recurrence, one object per depth.  Outside
+linstat.py no module may call a Gauss-Legendre panel primitive or
+_panel_rule itself: every rule is built in linstat, around the kernel's
+cache.
 """
 
 import ast
@@ -45,6 +48,15 @@ def _breaches(tree):
 def test_no_family_dispatch_outside_measures(path):
     tree = ast.parse((SRC / path).read_text())
     assert [f"{path}:{line}: {what}" for line, what in _breaches(tree)] == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "measures.py"))
+def test_no_recurrence_built_outside_measures(path):
+    tree = ast.parse((SRC / path).read_text())
+    calls = [f"{path}:{node.lineno}: RecurrenceCoefficients called" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _name(node.func) == "RecurrenceCoefficients"]
+    assert calls == []
 
 
 _PANEL_PRIMITIVES = ("_gl_panels", "leggauss", "_panel_rule")
