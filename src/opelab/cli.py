@@ -93,9 +93,12 @@ class ExperimentConfig:
             raise ConfigurationError("statistic.alpha must lie in [0, 1)")
         statistic = ScaledStatistic(f, alpha,
                                     config_number(stat_raw.get("xstar", 0.0), "statistic.xstar"))
-        replicas = config_number(raw.get("replicas", 1), "replicas", integer=True)
-        if replicas < 1:
-            raise ConfigurationError("replicas must be >= 1")
+        # the fewest replicas and the default: bounds needs 10^3 for its
+        # Monte Carlo tails (tail_probability_mc)
+        min_replicas = 1000 if experiment == "bounds" else 1
+        replicas = config_number(raw.get("replicas", min_replicas), "replicas", integer=True)
+        if replicas < min_replicas:
+            raise ConfigurationError(f"{experiment} needs replicas >= {min_replicas}")
         seed = config_number(raw.get("seed", 0), "seed", integer=True)
         if not (0 <= seed < 2**64):
             raise ConfigurationError("seed must be u64")
@@ -190,7 +193,7 @@ def _stats_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
 
 def _bounds_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
     norm = float(kern.n) if cfg.normalization == "n" else cfg.normalization
-    results = tail_probability_mc(kern, cfg.statistic.f, cfg.epsilons, max(1000, cfg.replicas),
+    results = tail_probability_mc(kern, cfg.statistic.f, cfg.epsilons, cfg.replicas,
                                   RngStream(cfg.seed, 0), norm)
     return [[kern.n, eps, res["empirical"], res["wilson"][0], res["wilson"][1],
              res["bound"].rhs, res["bound"].regime, res["dominated"]]

@@ -51,6 +51,10 @@ _ENVELOPE_CHUNK_DOUBLES = 1_000_000
 # A pool holds this multiple of the expected tries still to come.
 _POOL_HEADROOM = 1.2
 
+# A Gram-Schmidt pass that keeps at least this share of |P(x)|^2 needs no
+# second pass: the DGKS test with kappa^2 = 1/2 (see _orthonormalize).
+_DGKS_KEEP = 0.5
+
 # Off-diagonal scale of the tridiagonal Gaussian model: the beta = 2 case of
 # Dumitriu-Edelman's chi_{beta k} / sqrt(2) entries (J. Math. Phys. 2002).
 _TRIDIAG_OFFDIAG_SCALE = 1.0 / math.sqrt(2.0)
@@ -154,7 +158,7 @@ class _MarginalEnvelope:
         chunk = max(1, _ENVELOPE_CHUNK_DOUBLES // (sub * n))
         with np.errstate(over="ignore", invalid="ignore"):
             peak = np.concatenate([
-                self._density(u[c:c + chunk].ravel())[2].reshape(-1, sub).max(axis=1)
+                self._density(u[c:c + chunk].ravel())[3].reshape(-1, sub).max(axis=1)
                 for c in range(0, _ENVELOPE_CELLS, chunk)])
         self.heights = _ENVELOPE_PAD * peak
         cellmass = self.heights * np.diff(edges)
@@ -171,23 +175,25 @@ class _MarginalEnvelope:
         return u
 
     def _density(self, u: np.ndarray):
-        """(x, design at x, marginal density of x in the u coordinate with Jacobian)."""
+        """(x, design at x, K(x,x), marginal density of x in the u coordinate
+        with Jacobian)."""
         x = self._to_x(u)
         P = design_matrix(self.coeffs, self.n, x)
         kdiag = np.einsum("ij,ij->i", P, P)
         w = self.measure.theta_density(u) if self.compact else self.measure.weight(x)
-        return x, P, kdiag * w
+        return x, P, kdiag, kdiag * w
 
     def propose(self, gen: np.random.Generator, size: int):
-        """Draw u from the normalized step density; return (x, design, height@u)."""
+        """Draw u from the normalized step density; return
+        (x, design, K(x,x), height@u, density@u)."""
         r = gen.random(size)
         cell = np.searchsorted(self.cum, r)
         frac = gen.random(size)
         u = self.edges[cell] + frac * (self.edges[cell + 1] - self.edges[cell])
-        x, P, dens = self._density(u)
+        x, P, kdiag, dens = self._density(u)
         if np.any(dens > self.heights[cell] * (1.0 + 1e-12)):
             raise NumericalError("proposal majorant breached; envelope grid too coarse")
-        return x, P, self.heights[cell], dens
+        return x, P, kdiag, self.heights[cell], dens
 
 
 def _envelope(kern: CDKernel) -> _MarginalEnvelope:
@@ -197,6 +203,30 @@ def _envelope(kern: CDKernel) -> _MarginalEnvelope:
 # ---------------------------------------------------------------------------
 # Sequential conditional sampling
 # ---------------------------------------------------------------------------
+
+def _orthonormalize(basis: np.ndarray, i: int, p: np.ndarray, pp: float) -> int:
+    """Write the kernel section p = P(x), with pp = |p|^2, orthonormalized
+    against basis[:i] into basis[i]; return the number of Gram-Schmidt passes.
+
+    Classical Gram-Schmidt with the "twice is enough" test of Daniel, Gragg,
+    Kaufman & Stewart (Math. Comp. 30, 1976): the residual v of one pass is
+    kept when |v| >= kappa |p| with kappa = 1/sqrt(2), that is when
+    |v|^2 >= pp / 2, and is otherwise projected out once more (Giraud,
+    Langou & Rozloznik, Comput. Math. Appl. 50, 2005, analyse both cases).
+    """
+    B = basis[:i]
+    v = p - B.T @ (B @ p)
+    vv = v @ v
+    passes = 1
+    if vv < _DGKS_KEEP * pp:
+        v -= B.T @ (B @ v)
+        vv = v @ v
+        passes = 2
+    if vv <= 0.0:
+        raise NumericalError("degenerate residual section in Gram-Schmidt")
+    np.divide(v, math.sqrt(vv), out=basis[i])
+    return passes
+
 
 def _sample_one(kern: CDKernel, env: _MarginalEnvelope, gen: np.random.Generator) -> np.ndarray:
     """One n-point configuration by sequential conditionals on a shared pool.
@@ -210,6 +240,13 @@ def _sample_one(kern: CDKernel, env: _MarginalEnvelope, gen: np.random.Generator
     it are still i.i.d. draws from the envelope, independent of everything
     accepted so far, and step i+1 may use them.  An empty pool is refilled
     with one envelope draw sized to the expected tries still to come.
+
+    The accepted section P(x) is orthonormalized against the chosen ones by
+    classical Gram-Schmidt, re-orthogonalized only when the first pass
+    cancels: a second pass runs when |v|^2 < |P(x)|^2 / 2, the DGKS test with
+    kappa = 1/sqrt(2) (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
+    1976; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  The
+    pool, the envelope and the acceptance rule do not depend on it.
     """
     n = kern.n
     basis = np.empty((n, n))  # orthonormal coefficient vectors of chosen sections
@@ -228,8 +265,7 @@ def _sample_one(kern: CDKernel, env: _MarginalEnvelope, gen: np.random.Generator
                 # total * (1 + 1/2 + ... + 1/r) <= total * (ln r + 1) tries remain
                 size = int(_POOL_HEADROOM * env.total * (math.log(n - i) + 1.0)) + 1
                 size = min(size, max(1, _POOL_DOUBLES // n))
-                x, P, height, dens = env.propose(gen, size)
-                kdiag = np.einsum("ij,ij->i", P, P)
+                x, P, kdiag, height, dens = env.propose(gen, size)
                 proj = P @ basis[:i].T
                 kres = kdiag - np.einsum("ij,ij->i", proj, proj)
                 # accept with prob (residual density)/(majorant): exact because
@@ -245,16 +281,7 @@ def _sample_one(kern: CDKernel, env: _MarginalEnvelope, gen: np.random.Generator
             tries += end - cur
             cur = end
         points[i] = x[j]
-        # Gram-Schmidt the new kernel section against the accepted ones,
-        # with one re-orthogonalization pass for numerical drift
-        v = P[j].copy()
-        for _ in range(2):
-            if i:
-                v -= basis[:i].T @ (basis[:i] @ v)
-        norm = math.sqrt(v @ v)
-        if norm <= 0.0:
-            raise NumericalError("degenerate residual section in Gram-Schmidt")
-        basis[i] = v / norm
+        _orthonormalize(basis, i, P[j], kdiag[j])
         cur = j + 1
         kres[cur:] -= (P[cur:] @ basis[i]) ** 2
     return np.sort(points)

@@ -55,6 +55,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             cli.ExperimentConfig.from_dict({"experiment": "sample", "replicas": 0})
 
+    def test_bounds_replicas_default_to_1000(self):
+        assert cli.ExperimentConfig.from_dict({"experiment": "bounds"}).replicas == 1000
+        with pytest.raises(ConfigurationError, match="replicas >= 1000"):
+            cli.ExperimentConfig.from_dict({"experiment": "bounds", "replicas": 999})
+
     def test_bad_seed(self):
         with pytest.raises(ConfigurationError):
             cli.ExperimentConfig.from_dict({"experiment": "stats", "seed": -1})
@@ -132,6 +137,7 @@ class TestMainEntry:
          "n_grid": [10], "statistic": {"f": "smooth_bump", "alpha": 0.9, "xstar": 0.5}},
         {"experiment": "universality", "measure": {"family": "legendre"},
          "statistic": {"f": "identity", "xstar": 1.0}},
+        {"experiment": "bounds", "replicas": 3},
     ], ids=["normalization", "jacobi_missing_a_exp", "jacobi_a_exp_below_-1", "poly_not_list",
             "varying_gaussian_n_0", "measure_not_object", "statistic_not_object",
             "n_grid_not_numbers", "n_grid_not_integers", "epsilons_not_list",
@@ -142,7 +148,7 @@ class TestMainEntry:
             "normalization_bool", "normalization_string", "poly_bools",
             "nevai_grid_leaves_support", "report_nevai_grid_leaves_support",
             "universality_grid_leaves_support", "report_universality_grid_leaves_support",
-            "universality_weight_vanishes"])
+            "universality_weight_vanishes", "bounds_replicas_below_1000"])
     def test_bad_config_exits_2_up_front(self, tmp_path, change):
         payload = dict(BASE, **change)
         path = write_config(tmp_path, payload)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,6 +11,7 @@ from opelab.linstat import exact_mean, exact_variance
 from opelab.sampler import (
     RngStream,
     SampleConfiguration,
+    _orthonormalize,
     check_sampleable,
     export_samples,
     sample_gue_batch,
@@ -129,6 +132,56 @@ class TestOpeSampler:
         assert abs(var - exact_variance(kern, f)) <= 5 * se_var
 
 
+class TestGramSchmidtStep:
+    """The sampler's orthonormalization of an accepted kernel section against
+    i = 40 orthonormal sections in R^50, at a chosen residual fraction
+    |v|^2/|p|^2 of the section outside their span, against three passes of
+    classical Gram-Schmidt in long double.  Sample-identity tests cannot see
+    a loss of orthogonality here; it shows up only in the residual kernel
+    diagonal of later steps."""
+
+    n, i = 50, 40
+    fractions = [0.9, 0.5, 0.49, 1e-2, 1e-6, 1e-10]
+    # fixed before measuring: max |B b| against ~45 eps, and b's forward error
+    # against the same times the conditioning |p| / |v| of the step
+    tol = 1e-14
+
+    def _case(self, fraction):
+        gen = np.random.default_rng(53)
+        q, _ = np.linalg.qr(gen.standard_normal((self.n, self.n)))
+        basis = np.empty((self.i + 1, self.n))
+        basis[:self.i] = q[:, :self.i].T
+        inside = q[:, :self.i] @ gen.standard_normal(self.i)
+        outside = q[:, self.i:] @ gen.standard_normal(self.n - self.i)
+        # the in-span part is shrunk by 1e-9 so that a fraction of 1/2 stays
+        # at or above 1/2 after rounding
+        p = (math.sqrt(1.0 - fraction) * (1.0 - 1e-9) * inside / np.linalg.norm(inside)
+             + math.sqrt(fraction) * outside / np.linalg.norm(outside))
+        return basis, p
+
+    def _reference(self, B, p):
+        B, v = B.astype(np.longdouble), p.astype(np.longdouble)
+        for _ in range(3):
+            v -= B.T @ (B @ v)
+        return v / np.sqrt(v @ v)
+
+    @pytest.mark.parametrize("fraction", fractions)
+    def test_residual_accuracy(self, fraction):
+        basis, p = self._case(fraction)
+        B = basis[:self.i]
+        _orthonormalize(basis, self.i, p, float(p @ p))
+        b = basis[self.i]
+        ref = self._reference(B, p)
+        assert np.max(np.abs(B.astype(np.longdouble) @ b)) <= self.tol
+        assert np.max(np.abs(b - ref)) <= self.tol / math.sqrt(fraction)
+
+    @pytest.mark.parametrize("fraction", fractions)
+    def test_second_pass_only_on_cancellation(self, fraction):
+        basis, p = self._case(fraction)
+        passes = _orthonormalize(basis, self.i, p, float(p @ p))
+        assert passes == (1 if fraction >= 0.5 else 2)
+
+
 class TestSampleability:
     @pytest.mark.parametrize("a_exp, b_exp", [(-0.8, 0.0), (0.0, -0.95)])
     def test_singular_jacobi_rejected(self, a_exp, b_exp):
@@ -150,7 +203,7 @@ class TestSampleability:
         env = _envelope(kern)
         gap = np.linspace(1e-9, 1e-7, 2001)
         for u, cell in ((gap, 0), (np.pi - gap, len(env.heights) - 1)):
-            _, _, dens = env._density(u)
+            *_, dens = env._density(u)
             assert np.all(dens <= env.heights[cell])
             assert dens == pytest.approx((2 * 50 - 1) / np.pi, rel=1e-10)
 
