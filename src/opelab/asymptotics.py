@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .kernel import CDKernel, _sqrt_weight, kernel_matrix, kernel_tilde
+from .kernel import CDKernel, _rescaled, _sqrt_weight, kernel_matrix, kernel_tilde
 from .linstat import (_M_BASE, ScaledStatistic, TestFunction, _global_rule, _window_rule,
                       exact_scaled_variance, scaled_function)
 from .measures import Measure
@@ -195,22 +195,16 @@ def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
 def _universality_points(kern: CDKernel, x: float, box: float = 2.0, grid: int = 41):
     """The grid s in [-box, box], Kt(x, x) and the points x + s / Kt(x, x) of
     universality_error; DomainError, as in scaled_kernel, if Kt(x, x)
-    vanishes or a point leaves the support."""
+    vanishes or a point leaves the measure's x-range (see kernel._rescaled)."""
     s = np.linspace(-box, box, grid)
-    k0 = float(kernel_tilde(kern, x, x))
-    if k0 <= 0.0:
-        raise DomainError(f"weighted kernel vanishes on the diagonal at x={x}")
-    z = x + s / k0
-    lo, hi = kern.measure.support
-    if not np.all((lo <= z) & (z <= hi)):
-        raise DomainError("rescaled argument left the support of the measure")
+    k0, z = _rescaled(kern, x, s)
     return s, k0, z
 
 
 def universality_error(kern: CDKernel, x: float, box: float = 2.0, grid: int = 41) -> float:
     """sup over an (a,b) grid in [-box, box]^2 of |scaled_kernel(kern, x, a, b)
     - sine_kernel(a, b)|, from one kernel_matrix on the rescaled grid points;
-    DomainError, as in scaled_kernel, if one of them leaves the support."""
+    DomainError, as in scaled_kernel, if one of them leaves the measure's x-range."""
     pts, k0, z = _universality_points(kern, x, box, grid)
     sw = _sqrt_weight(kern, z)
     scaled = np.outer(sw, sw) * kernel_matrix(kern, z, z) / k0

@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .asymptotics import (
     _nevai_points,
@@ -121,8 +119,7 @@ class ExperimentConfig:
                     _nevai_points(measure.support, _nevai_alpha(statistic), statistic.xstar, n)
                 except DomainError as exc:
                     raise ConfigurationError(f"alpha-Nevai grid at n={n}: {exc}") from None
-        if experiment in ("universality", "report") and measure.compact:
-            # a line measure's support holds every rescaled point
+        if experiment in ("universality", "report"):
             for n in n_grid:
                 try:
                     _universality_points(CDKernel(measure, n), statistic.xstar)

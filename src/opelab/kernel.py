@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,20 +131,29 @@ def kernel_tilde(kern: CDKernel, x, y) -> np.ndarray | float:
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _rescaled(kern: CDKernel, x: float, s) -> tuple[float, np.ndarray]:
+    """Kt(x, x) and the points x + s / Kt(x, x), with Kt the weighted kernel;
+    DomainError if Kt(x, x) vanishes or a point leaves the x-range of the
+    measure's coordinate: its support if compact, on the line the span past
+    which its mass is far below double precision and Kt underflows."""
+    k0 = float(kernel_tilde(kern, x, x))
+    if k0 <= 0.0:
+        raise DomainError(f"weighted kernel vanishes on the diagonal at x={x}")
+    z = x + np.asarray(s, dtype=float) / k0
+    co = kern.measure.coordinate(kern.n)
+    lo, hi = sorted(co.to_x(np.array([co.lo, co.hi])))
+    if not np.all((lo <= z) & (z <= hi)):
+        raise DomainError("rescaled argument left the support of the measure")
+    return k0, z
+
+
 def scaled_kernel(kern: CDKernel, x: float, a: float, b: float) -> float:
     """Microscopically rescaled kernel at bulk point x.
 
     Evaluates Kt(x + a/Kt(x,x), x + b/Kt(x,x)) / Kt(x,x) with Kt the weighted
     kernel; this is the object that converges to the sine kernel in the bulk.
     """
-    k0 = float(kernel_tilde(kern, x, x))
-    if k0 <= 0.0:
-        raise DomainError(f"weighted kernel vanishes on the diagonal at x={x}")
-    xa = x + a / k0
-    xb = x + b / k0
-    lo, hi = kern.measure.support
-    if not (lo <= xa <= hi and lo <= xb <= hi):
-        raise DomainError("rescaled argument left the support of the measure")
+    k0, (xa, xb) = _rescaled(kern, x, (a, b))
     return float(kernel_tilde(kern, xa, xb)) / k0
 
 

@@ -131,25 +131,18 @@ def _panel_rule(kern: CDKernel, lo: float, hi: float, refine: float,
                 breaks: Sequence[float] = ()):
     """Composite 16-point Gauss-Legendre rule for mu on [lo, hi], as (nodes, weights).
 
-    On a compact support the panels lie in theta = arccos of the affine map
-    onto [-1, 1] and carry Measure.theta_density, which keeps its digits next
-    to theta = 0 and pi.  On the line they lie in x, on [lo, hi] cut at the
-    spectral edge plus 8 b_1, and carry the raw weight.  The span, of length
-    L in that coordinate, is split at the breaks inside (lo, hi) and gets
+    The panels lie in the measure's Coordinate at rank n, between the ends of
+    [lo, hi] clipped to its range, and carry its density with the Jacobian:
+    on a compact support theta = arccos x, whose density keeps its digits
+    next to theta = 0 and pi.  The span, of length L in that coordinate, is
+    split at the breaks inside (lo, hi) and gets
     int(refine * max(32, int(2 n L) + 16)) panels, spread over its pieces by
     length.  refine = 1 is the base rule, the one every window integral
     without a ladder reads; _ladder's rungs are refine = 1/2, 1, 2, ..., 16.
     """
-    mu, n = kern.measure, kern.n
-    if mu.compact:
-        slo, shi = mu.support
-        mid, half = 0.5 * (shi + slo), 0.5 * (shi - slo)
-        to = lambda x: math.acos(min(max((x - mid) / half, -1.0), 1.0))
-    else:
-        co = kern.coeffs
-        edge = (float(np.max(np.abs(co.diag[:n]) + 2.0 * co.offdiag[:n]))
-                + 8.0 * max(co.offdiag[0], 1e-6))
-        to = lambda x: min(max(x, -edge), edge)
+    n = kern.n
+    co = kern.measure.coordinate(n)
+    to = co.to_u
     brk = sorted({to(lo), to(hi)} | {to(d) for d in breaks if lo < d < hi})
     total = brk[-1] - brk[0]
     npanels = int(refine * max(32, int(2 * n * total) + 16))
@@ -160,10 +153,8 @@ def _panel_rule(kern: CDKernel, lo: float, hi: float, refine: float,
     h = 0.5 * np.diff(edges)               # panel half-widths and centres
     c = 0.5 * (edges[:-1] + edges[1:])
     u = (c[:, None] + h[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (h[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    if mu.compact:
-        return mid + half * np.cos(u), weights * mu.theta_density(u)
-    return u, weights * mu.weight(u)
+    x = co.to_x(u)
+    return x, (h[:, None] * _GL_WEIGHTS[None, :]).ravel() * co.density(u, x)
 
 
 def _window_rule(kern: CDKernel, lo: float, hi: float, breaks: Sequence[float], refine: float):

@@ -36,6 +36,7 @@ __all__ = [
     "legendre",
     "jacobi",
     "varying_gaussian",
+    "Coordinate",
     "Family",
     "FAMILIES",
     "orthonormal_prefix",
@@ -220,15 +221,14 @@ def _jacobi_coeffs(depth: int, a: float, b: float) -> RecurrenceCoefficients:
     beta = np.empty(depth)
     diag[0] = (b - a) / (a + b + 2.0)
     beta[0] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
-    for k in range(1, depth):
-        s = 2.0 * k + a + b
-        diag[k] = (b * b - a * a) / (s * (s + 2.0))
-        kk = k + 1  # beta index: beta[k] = beta_{k+1} monic
-        ss = 2.0 * kk + a + b
-        beta[k] = (
-            4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
-            / (ss * ss * (ss + 1.0) * (ss - 1.0))
-        )
+    # k = 1..depth-1, each term in the order of the scalar formula so that
+    # every coefficient keeps its value bit for bit
+    k = np.arange(1.0, depth)
+    s = 2.0 * k + a + b
+    diag[1:] = (b * b - a * a) / (s * (s + 2.0))
+    kk = k + 1.0  # beta index: beta[k] = beta_{k+1} monic
+    ss = 2.0 * kk + a + b
+    beta[1:] = 4.0 * kk * (kk + a) * (kk + b) * (kk + a + b) / (ss * ss * (ss + 1.0) * (ss - 1.0))
     return RecurrenceCoefficients(diag, np.sqrt(beta))
 
 
@@ -290,15 +290,10 @@ class Measure:
         with np.errstate(divide="ignore"):
             return np.log(self.weight(xv))
 
-    def theta_density(self, theta) -> np.ndarray:
-        """Density of the measure in theta, where x = mid + half*cos(theta)
-        maps [0, pi] onto a compact support.
-
-        Chebyshev and Jacobi weights are written in sin(theta/2) and
-        cos(theta/2), since 1 -+ x = 2 sin^2(theta/2), 2 cos^2(theta/2): in x,
-        1 - x*x loses all digits as theta nears 0 or pi.
-        """
-        return self.spec.theta_density(self, np.asarray(theta, dtype=float))
+    def coordinate(self, n: int) -> "Coordinate":
+        """The coordinate in which HKPV proposes and panel rules lie at rank n:
+        one in which the density of the measure is bounded."""
+        return self.spec.coordinate(self, n)
 
     # -- recurrence coefficients, lazily extended ---------------------------
 
@@ -396,23 +391,62 @@ def varying_gaussian(n: int) -> Measure:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Coordinate:
+    """A coordinate u on [lo, hi] in which a measure's density is bounded.
+
+    to_x maps u to x, to_u maps a float x back, clipped to [lo, hi], and
+    density(u, x) at x = to_x(u) is the density of the measure in u, the
+    weight times the Jacobian |dx/du|.
+    """
+
+    lo: float
+    hi: float
+    to_x: Callable
+    to_u: Callable
+    density: Callable
+
+
+def _theta_coordinate(mu: Measure, n: int) -> Coordinate:
+    # x = mid + half cos(theta) on [0, pi], carrying the family's theta_density
+    slo, shi = mu.support
+    mid, half = 0.5 * (shi + slo), 0.5 * (shi - slo)
+    return Coordinate(
+        0.0, math.pi, lambda u: mid + half * np.cos(u),
+        lambda x: math.acos(min(max((x - mid) / half, -1.0), 1.0)),
+        lambda u, x: mu.spec.theta_density(mu, np.asarray(u, dtype=float)))
+
+
+def _gaussian_coordinate(mu: Measure, n: int) -> Coordinate:
+    # x itself, cut 10 standard deviations of exp(-N x^2 / 2) past the
+    # spectral edge 2 sqrt(n / N): the mass beyond is far below double precision
+    big_n = mu.params["n"]
+    cut = 2.0 * math.sqrt(n / big_n) + 10.0 / math.sqrt(big_n)
+    return Coordinate(-cut, cut, lambda u: u, lambda x: min(max(x, -cut), cut),
+                      lambda u, x: mu.weight(x))
+
+
+@dataclass(frozen=True)
 class Family:
     """Everything that depends on the family of a measure.
 
     The callables take the Measure first.  params maps each config parameter
-    to its type, int or float; factory takes them by name.  log_weight
+    to its type, int or float; factory takes them by name.  coordinate(mu, n)
+    is the Coordinate of HKPV proposals and panel rules at rank n.  log_weight
     defaults to log(weight).  theta_density, the density in theta of
-    x = cos(theta), is required for a compact family.  rule is a closed-form
+    x = cos(theta), is required by _theta_coordinate; it is written in
+    sin(theta/2) and cos(theta/2), since 1 -+ x = 2 sin^2(theta/2),
+    2 cos^2(theta/2), where 1 - x*x would lose all digits next to theta = 0
+    and pi.  rule is a closed-form
     Gauss rule (m, ncols) -> (nodes, weights, S) like gauss_quadrature_scaled.
     gaussian_n is the N of a Gaussian weight exp(-N x^2 / 2), the scale of
-    the HKPV line coordinate and of the tridiagonal model.  check_hkpv raises
-    ConfigurationError where HKPV's arccos coordinate leaves the density
-    unbounded.
+    the tridiagonal model.  check_hkpv raises ConfigurationError where the
+    family's coordinate leaves the density unbounded.
     """
 
     factory: Callable
     recurrence: Callable
     weight: Callable
+    coordinate: Callable
     params: dict = field(default_factory=dict)
     log_weight: Callable | None = None
     theta_density: Callable | None = None
@@ -453,21 +487,23 @@ def _jacobi_check_hkpv(mu: Measure) -> None:
 FAMILIES: dict[str, Family] = {
     "chebyshev1st": Family(
         chebyshev, lambda mu, depth: _chebyshev_coeffs(depth), _chebyshev_weight,
-        theta_density=lambda mu, th: np.full(th.shape, 1.0 / math.pi), rule=_chebyshev_rule),
+        _theta_coordinate, theta_density=lambda mu, th: np.full(th.shape, 1.0 / math.pi),
+        rule=_chebyshev_rule),
     "legendre": Family(
         legendre, lambda mu, depth: _legendre_coeffs(depth),
-        lambda mu, x: np.where(np.abs(x) <= 1.0, 0.5, 0.0),
+        lambda mu, x: np.where(np.abs(x) <= 1.0, 0.5, 0.0), _theta_coordinate,
         theta_density=lambda mu, th: 0.5 * np.sin(th)),
     "jacobi": Family(
         jacobi, lambda mu, depth: _jacobi_coeffs(depth, mu.params["a_exp"], mu.params["b_exp"]),
-        lambda mu, x: np.exp(_jacobi_log_weight(mu, x)), {"a_exp": float, "b_exp": float},
+        lambda mu, x: np.exp(_jacobi_log_weight(mu, x)), _theta_coordinate,
+        {"a_exp": float, "b_exp": float},
         log_weight=_jacobi_log_weight, theta_density=_jacobi_theta_density,
         check_hkpv=_jacobi_check_hkpv),
     "varying_gaussian": Family(
         varying_gaussian, lambda mu, depth: _varying_gaussian_coeffs(depth, mu.params["n"]),
         lambda mu, x: (math.sqrt(mu.params["n"] / (2.0 * math.pi))
                        * np.exp(-0.5 * mu.params["n"] * x * x)),
-        {"n": int},
+        _gaussian_coordinate, {"n": int},
         log_weight=lambda mu, x: (0.5 * math.log(mu.params["n"] / (2.0 * math.pi))
                                   - 0.5 * mu.params["n"] * x * x),
         gaussian_n=lambda mu: mu.params["n"]),

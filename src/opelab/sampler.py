@@ -3,9 +3,8 @@
 The ensemble is the rank-n projection determinantal process with the
 Christoffel-Darboux kernel, sampled point by point from the conditional
 densities (sequential HKPV scheme).  Proposals come from a step-function
-majorant of the one-point marginal K_n(x,x) w(x)/n, built in a coordinate in
-which the density is bounded (theta = arccos x on compact supports, a
-truncated standardized coordinate on the line); the majorant dominates the
+majorant of the one-point marginal K_n(x,x) w(x)/n, built in the measure's
+Coordinate, in which the density is bounded; the majorant dominates the
 target on every cell by construction and this is re-asserted at run time, so
 accepted draws follow the conditional law exactly.  Each replica draws one
 i.i.d. proposal pool, with the residual kernel diagonal of every entry kept
@@ -72,7 +71,9 @@ class RngStream:
             raise ConfigurationError("seed and stream_index must be u64")
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_index]))
+        # as uint64: a list with an entry >= 2^63 would pass through float64
+        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, offset: int) -> "RngStream":
         return RngStream(self.seed, self.stream_index + offset)
@@ -103,19 +104,15 @@ class SampleConfiguration:
 def check_sampleable(measure: Measure, method: str = "hkpv") -> None:
     """ConfigurationError unless `method` can sample the ensemble of `measure`.
 
-    HKPV needs a bounded marginal density in its proposal coordinate: on
-    compact supports theta = arccos x, where the family's check_hkpv rejects
-    weights whose density stays unbounded; on the line only a Gaussian
-    weight exp(-N x^2 / 2) has a proposal coordinate.  The tridiagonal model
-    exists only for a Gaussian weight.
+    HKPV needs a bounded marginal density in the family's coordinate, which
+    the family's check_hkpv asserts.  The tridiagonal model exists only for
+    a Gaussian weight.
     """
     if method == "tridiagonal":
         if measure.gaussian_n is None:
             raise ConfigurationError(
                 f"tridiagonal method needs a Gaussian weight, not family {measure.family!r}")
         return
-    if not measure.compact and measure.gaussian_n is None:
-        raise ConfigurationError(f"cannot sample family {measure.family!r} on unbounded support")
     if measure.spec.check_hkpv is not None:
         measure.spec.check_hkpv(measure)
 
@@ -123,33 +120,20 @@ def check_sampleable(measure: Measure, method: str = "hkpv") -> None:
 class _MarginalEnvelope:
     """Piecewise-constant majorant of the marginal density in a tame coordinate.
 
-    The marginal K_n(x,x) w(x) dx is mapped to a coordinate u where it is
-    bounded: u = theta with x = mid + half*cos(theta) on compact supports
-    (absorbing integrable endpoint singularities into the Jacobian, with the
-    weight taken from Measure.theta_density so that the pad is not eaten by
-    rounding next to theta = 0, pi), or
-    u = x itself on a truncated interval for the Gaussian-type line weights,
-    where the truncated mass is far below double precision.
+    The marginal K_n(x,x) w(x) dx is read in the measure's Coordinate u, where
+    it is bounded: theta = arccos x on a compact support, with the Jacobian
+    absorbing integrable endpoint singularities and the density written in
+    theta so that the pad is not eaten by rounding next to theta = 0, pi; x
+    itself, cut where the mass beyond is far below double precision, on the
+    line.
     """
 
     def __init__(self, kern: CDKernel):
         check_sampleable(kern.measure)
         # no reference to kern, whose cache holds the envelope
-        self.measure, self.coeffs, self.n = kern.measure, kern.coeffs, kern.n
         n = kern.n
-        lo, hi = kern.measure.support
-        self.compact = kern.measure.compact
-        if self.compact:
-            self.half, self.mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-            self.u_lo, self.u_hi = 0.0, np.pi
-        else:
-            nn = kern.measure.gaussian_n
-            # spectral edge at 2*sqrt(n/nn) in x units; pad well past it
-            edge = 2.0 * math.sqrt(n / nn)
-            pad = 10.0 / math.sqrt(nn)
-            self.u_lo, self.u_hi = -(edge + pad), edge + pad
-        edges = np.linspace(self.u_lo, self.u_hi, _ENVELOPE_CELLS + 1)
-        self.edges = edges
+        self.coord, self.coeffs, self.n = kern.measure.coordinate(n), kern.coeffs, n
+        self.edges = edges = np.linspace(self.coord.lo, self.coord.hi, _ENVELOPE_CELLS + 1)
         # estimate the per-cell max of the transformed density on subsamples,
         # a chunk of cells at a time; overflow is reported below
         sub = 17
@@ -169,19 +153,13 @@ class _MarginalEnvelope:
                 "p_j(x) overflows where the weight underflows")
         self.cum = np.cumsum(cellmass) / self.total
 
-    def _to_x(self, u: np.ndarray) -> np.ndarray:
-        if self.compact:
-            return self.mid + self.half * np.cos(u)
-        return u
-
     def _density(self, u: np.ndarray):
         """(x, design at x, K(x,x), marginal density of x in the u coordinate
         with Jacobian)."""
-        x = self._to_x(u)
+        x = self.coord.to_x(u)
         P = design_matrix(self.coeffs, self.n, x)
         kdiag = np.einsum("ij,ij->i", P, P)
-        w = self.measure.theta_density(u) if self.compact else self.measure.weight(x)
-        return x, P, kdiag, kdiag * w
+        return x, P, kdiag, kdiag * self.coord.density(u, x)
 
     def propose(self, gen: np.random.Generator, size: int):
         """Draw u from the normalized step density; return

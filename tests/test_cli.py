@@ -1,11 +1,16 @@
+import csv
 import json
+import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opelab import cli, linstat, measures
+from opelab import cli, functions, linstat, measures
 from opelab.errors import ConfigurationError
 from opelab.sampler import RngStream, sample_gue_batch
 
@@ -346,3 +351,63 @@ class TestMainEntry:
         rows = (out / "universality.csv").read_text().splitlines()[1:]
         te = [float(row.split(",")[2]) for row in rows]
         assert te[1] < 0.55 * te[0] and te[2] < 0.55 * te[1] and te[2] < 0.01
+
+
+_MEASURES = {
+    "chebyshev1st": st.just({}),
+    "legendre": st.just({}),
+    "jacobi": st.fixed_dictionaries({"a_exp": st.floats(-0.99, 3.0),
+                                     "b_exp": st.floats(-0.99, 3.0)}),
+    "varying_gaussian": st.fixed_dictionaries({"n": st.integers(1, 30)}),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A config that the schema admits: every field of the right type and
+    range, n <= 12 (n <= 6 for bounds) and at most 4 sample replicas."""
+    experiment = draw(st.sampled_from(cli._EXPERIMENTS))
+    family = draw(st.sampled_from(sorted(_MEASURES)))
+    f = draw(st.one_of(
+        st.sampled_from(sorted(functions.REGISTRY)),
+        st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4).map(lambda c: {"poly": c})))
+    top = 6 if experiment == "bounds" else 12
+    config = {
+        "experiment": experiment,
+        "measure": {"family": family, "params": draw(_MEASURES[family])},
+        "n_grid": sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=3))),
+        "statistic": {"f": f, "alpha": draw(st.floats(0.0, 0.95)),
+                      "xstar": draw(st.one_of(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0)))},
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "epsilons": draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=3)),
+        "normalization": draw(st.one_of(st.just("n"), st.floats(0.1, 100.0))),
+        "method": draw(st.sampled_from(["hkpv", "tridiagonal"])),
+    }
+    if experiment == "sample":
+        config["replicas"] = draw(st.integers(1, 4))
+    return config
+
+
+class TestConfigContract:
+    """Every schema-valid config exits 0 or 2 through cli.main, never with a
+    mid-run error (exit 3) or a traceback, and a run that exits 0 writes
+    only finite numbers."""
+
+    @given(config=_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_0_or_2_with_finite_csvs(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            out = Path(tmp) / "out"
+            code = cli.main([config["experiment"], "--config", str(path), "--out", str(out)])
+            assert code in (0, 2), config
+            for table in out.glob("*.csv") if code == 0 else ():
+                with open(table, newline="") as fh:   # past the "# " metadata and the header
+                    rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+                for cell in (cell for row in rows for cell in row):
+                    try:
+                        value = float(cell)
+                    except ValueError:   # regime names and flags
+                        continue
+                    assert math.isfinite(value), (table.name, config)

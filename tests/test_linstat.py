@@ -494,8 +494,29 @@ class TestPanelRuleWeights:
         kern = CDKernel(measures.varying_gaussian(n), n)
         _, w = linstat._panel_rule(kern, -0.5, 0.3, 1)
         assert abs(w.sum() - (ndtr(0.3 * math.sqrt(n)) - ndtr(-0.5 * math.sqrt(n)))) <= 1e-13
-        _, w = linstat._panel_rule(kern, -math.inf, math.inf, 1)   # cut at the spectral edge
+        _, w = linstat._panel_rule(kern, -math.inf, math.inf, 1)   # cut past the spectral edge
         assert abs(w.sum() - 1.0) <= 1e-14
+
+
+class TestSharedCoordinate:
+    """The HKPV envelope and the panel rules read one Coordinate per family."""
+
+    MEASURES = [measures.chebyshev(), measures.legendre(), measures.jacobi(0.25, -0.25),
+                measures.varying_gaussian(7)]
+
+    def test_every_family_is_covered(self):
+        assert sorted(mu.family for mu in self.MEASURES) == sorted(measures.FAMILIES)
+
+    @pytest.mark.parametrize("index", range(len(MEASURES)))
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_envelope_and_panels_span_the_coordinate(self, index, n):
+        mu = self.MEASURES[index]
+        kern = CDKernel(mu, n)
+        co = mu.coordinate(n)
+        assert tuple(_envelope(kern).edges[[0, -1]]) == (co.lo, co.hi)
+        nodes, _ = linstat._panel_rule(kern, *mu.support, 1)
+        xlo, xhi = sorted(co.to_x(np.array([co.lo, co.hi])))
+        assert np.all((xlo <= nodes) & (nodes <= xhi))
 
 
 def _window_reference(kern, f, win, ts, refine=8, block=4096):

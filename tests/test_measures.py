@@ -51,6 +51,30 @@ class TestClassicalRecurrences:
         with pytest.raises(PreconditionError):
             measures.legendre().recurrence(0)
 
+    @staticmethod
+    def _jacobi_loop(depth, a, b):
+        """The Jacobi recurrence one k at a time, in the scalar formula's order."""
+        diag, beta = np.empty(depth), np.empty(depth)
+        diag[0] = (b - a) / (a + b + 2.0)
+        beta[0] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+        for k in range(1, depth):
+            s = 2.0 * k + a + b
+            diag[k] = (b * b - a * a) / (s * (s + 2.0))
+            kk = k + 1
+            ss = 2.0 * kk + a + b
+            beta[k] = (4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
+                       / (ss * ss * (ss + 1.0) * (ss - 1.0)))
+        return diag, np.sqrt(beta)
+
+    @pytest.mark.parametrize("a, b", [(0.5, -0.3), (-0.3, 2.0), (0.0, 0.0), (-0.5, -0.5),
+                                      (1.5, 0.25), (-0.9, 3.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("depth", [1, 2, 16, 2000])
+    def test_jacobi_coefficients_match_the_loop(self, a, b, depth):
+        co = measures._jacobi_coeffs(depth, a, b)
+        diag, offdiag = self._jacobi_loop(depth, a, b)
+        assert co.diag.tobytes() == diag.tobytes()
+        assert co.offdiag.tobytes() == offdiag.tobytes()
+
     def test_recurrence_is_one_object_per_depth(self):
         mu = measures.jacobi(0.5, -0.3)
         co = mu.recurrence(20)
@@ -229,15 +253,20 @@ class TestMeasureObject:
         for mu in compact + [measures.jacobi(0.5, 1.5), measures.jacobi(-0.5, 0.25)]:
             lo, hi = mu.support
             half = 0.5 * (hi - lo)
-            want = mu.weight(0.5 * (lo + hi) + half * np.cos(theta)) * half * np.sin(theta)
-            assert np.allclose(mu.theta_density(theta), want, rtol=1e-10, atol=0.0)
+            co = mu.coordinate(10)
+            x = co.to_x(theta)
+            want = mu.weight(x) * half * np.sin(theta)
+            assert np.array_equal(x, 0.5 * (lo + hi) + half * np.cos(theta))
+            assert np.allclose(co.density(theta, x), want, rtol=1e-10, atol=0.0)
         # next to the ends 1 - x^2 cancels in x; the theta form keeps every digit
         ends = np.array([1e-9, math.pi - 1e-9])
-        assert np.all(measures.chebyshev().theta_density(ends) == 1.0 / math.pi)
+        cheb = measures.chebyshev().coordinate(10)
+        assert np.all(cheb.density(ends, cheb.to_x(ends)) == 1.0 / math.pi)
         s, c = np.sin(ends / 2), np.cos(ends / 2)
         a, b = 0.5, 1.5
         beta = math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
-        assert np.allclose(measures.jacobi(a, b).theta_density(ends),
+        jac = measures.jacobi(a, b).coordinate(10)
+        assert np.allclose(jac.density(ends, jac.to_x(ends)),
                            s ** (2 * a + 1) * c ** (2 * b + 1) / beta, rtol=1e-12, atol=0.0)
 
     def test_json_round_trip(self):

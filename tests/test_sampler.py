@@ -32,6 +32,15 @@ class TestRngStream:
         b = RngStream(123, 1).generator().random(5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_u64_seed_is_its_own_stream(self):
+        """Seeds from 2^63 up keep every bit: neighbours differ, and the
+        largest seed is not seed 0."""
+        draws = [RngStream(seed, index).generator().random(3)
+                 for seed in (0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+                 for index in (0, 2**64 - 1)]
+        assert len({d.tobytes() for d in draws}) == len(draws)
+
 
 class TestSampleConfiguration:
     def test_sorted_invariant(self):

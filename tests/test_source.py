@@ -8,7 +8,9 @@ entry of measures.FAMILIES.  Nor may it build RecurrenceCoefficients: every
 module takes them from Measure.recurrence, one object per depth.  Outside
 linstat.py no module may call a Gauss-Legendre panel primitive or
 _panel_rule itself: every rule is built in linstat, around the kernel's
-cache.
+cache.  Outside measures.py no module may call theta_density, acos or
+arccos: the theta coordinate is the compact families' Coordinate, and
+sampler.py reads no measure's shape (.compact) at all.
 """
 
 import ast
@@ -69,3 +71,22 @@ def test_no_panel_rule_outside_linstat(path):
     calls = [f"{path}:{node.lineno}: {_name(node.func)} called" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _name(node.func) in _PANEL_PRIMITIVES]
     assert calls == []
+
+
+_COORDINATE_CALLS = ("theta_density", "acos", "arccos")
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "measures.py"))
+def test_no_theta_coordinate_outside_measures(path):
+    tree = ast.parse((SRC / path).read_text())
+    calls = [f"{path}:{node.lineno}: {_name(node.func)} called" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _name(node.func) in _COORDINATE_CALLS]
+    assert calls == []
+
+
+def test_sampler_reads_no_shape():
+    tree = ast.parse((SRC / "sampler.py").read_text())
+    reads = [f"sampler.py:{node.lineno}: .compact read" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "compact"]
+    assert reads == []
