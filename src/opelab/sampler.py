@@ -7,8 +7,9 @@ majorant of the one-point marginal K_n(x,x) w(x)/n, built in the measure's
 Coordinate, in which the density is bounded; the majorant dominates the
 target on every cell by construction and this is re-asserted at run time, so
 accepted draws follow the conditional law exactly.  Each replica draws one
-i.i.d. proposal pool, with the residual kernel diagonal of every entry kept
-current, and the n sequential steps use it up in order.
+i.i.d. proposal pool, and the n sequential steps use it up in order; the
+residual kernel diagonal of an entry is brought up to date, a block at a
+time, only when the scan reaches it.
 
 A tridiagonal random-matrix model provides an independent sampler for the
 varying Gaussian weight, used as a cross-validation oracle.
@@ -49,6 +50,12 @@ _POOL_DOUBLES = 1_000_000
 _ENVELOPE_CHUNK_DOUBLES = 1_000_000
 # A pool holds this multiple of the expected tries still to come.
 _POOL_HEADROOM = 1.2
+# A caught-up block of the pool holds about total * (this + 1/r) entries with
+# r points left: the tries from r points left down to r/4, and one more step's.
+_WINDOW_SPAN = math.log(4.0)
+# A block holds at least this many entries: on fewer rows a GEMM costs mostly
+# its call overhead.
+_MIN_BLOCK = 64
 
 # A Gram-Schmidt pass that keeps at least this share of |P(x)|^2 needs no
 # second pass: the DGKS test with kappa^2 = 1/2 (see _orthonormalize).
@@ -152,6 +159,9 @@ class _MarginalEnvelope:
                 f"non-finite proposal envelope at rank {n}: the forward recurrence "
                 "p_j(x) overflows where the weight underflows")
         self.cum = np.cumsum(cellmass) / self.total
+        # rounding leaves the sum a few ulps off 1, and a draw at or past the
+        # last entry would land in no cell
+        self.cum[-1] = 1.0
 
     def _density(self, u: np.ndarray):
         """(x, design at x, K(x,x), marginal density of x in the u coordinate
@@ -182,18 +192,22 @@ def _envelope(kern: CDKernel) -> _MarginalEnvelope:
 # Sequential conditional sampling
 # ---------------------------------------------------------------------------
 
-def _orthonormalize(basis: np.ndarray, i: int, p: np.ndarray, pp: float) -> int:
-    """Write the kernel section p = P(x), with pp = |p|^2, orthonormalized
-    against basis[:i] into basis[i]; return the number of Gram-Schmidt passes.
+def _orthonormalize(basis: np.ndarray, i: int, p: np.ndarray, pp: float,
+                    bp: np.ndarray) -> int:
+    """Write the kernel section p = P(x), with pp = |p|^2 and bp = basis[:i] @ p
+    its projections on the chosen sections, orthonormalized against basis[:i]
+    into basis[i]; return the number of Gram-Schmidt passes.
 
     Classical Gram-Schmidt with the "twice is enough" test of Daniel, Gragg,
     Kaufman & Stewart (Math. Comp. 30, 1976): the residual v of one pass is
     kept when |v| >= kappa |p| with kappa = 1/sqrt(2), that is when
     |v|^2 >= pp / 2, and is otherwise projected out once more (Giraud,
     Langou & Rozloznik, Comput. Math. Appl. 50, 2005, analyse both cases).
+    The first pass reads bp, which the pool's residual bookkeeping already
+    holds; the second computes its projections afresh.
     """
     B = basis[:i]
-    v = p - B.T @ (B @ p)
+    v = p - B.T @ bp
     vv = v @ v
     passes = 1
     if vv < _DGKS_KEEP * pp:
@@ -206,62 +220,108 @@ def _orthonormalize(basis: np.ndarray, i: int, p: np.ndarray, pp: float) -> int:
     return passes
 
 
+def _catch_up(P: np.ndarray, kdiag: np.ndarray, basis: np.ndarray, i: int,
+              proj: np.ndarray, kres: np.ndarray, lo: int, hi: int) -> None:
+    """Bring pool entries [lo, hi) up to date with the sections basis[:i]:
+    their projections proj[lo:hi, :i] in one GEMM, and their residual kernel
+    diagonal kres = K(x,x) - |proj|^2."""
+    if i == 0:  # no sections yet
+        kres[lo:hi] = kdiag[lo:hi]
+        return
+    blk = P[lo:hi] @ basis[:i].T
+    proj[lo:hi, :i] = blk
+    kres[lo:hi] = kdiag[lo:hi] - np.einsum("ij,ij->i", blk, blk)
+
+
+def _fold(P: np.ndarray, basis: np.ndarray, i: int,
+          proj: np.ndarray, kres: np.ndarray, lo: int, hi: int) -> None:
+    """Fold the new section basis[i] into the entries [lo, hi), which are
+    current with basis[:i]."""
+    col = P[lo:hi] @ basis[i]
+    proj[lo:hi, i] = col
+    kres[lo:hi] -= col * col
+
+
 def _sample_one(kern: CDKernel, env: _MarginalEnvelope, gen: np.random.Generator) -> np.ndarray:
     """One n-point configuration by sequential conditionals on a shared pool.
 
-    A pool entry is a proposal x from the envelope, its design row, its
-    envelope height, one acceptance uniform and its residual kernel diagonal
-    kres(x) = K(x,x) - sum_{l<i} (P(x) . b_l)^2 over the sections b_l chosen
-    so far.  Step i accepts the first unused entry whose uniform falls below
-    (residual density)/(majorant) and moves the cursor past it.  Which entry
-    step i takes depends only on the entries up to it, so the entries after
-    it are still i.i.d. draws from the envelope, independent of everything
-    accepted so far, and step i+1 may use them.  An empty pool is refilled
-    with one envelope draw sized to the expected tries still to come.
+    A pool entry is a proposal x from the envelope, its design row, one
+    acceptance threshold (uniform x majorant / density ratio, taken once per
+    pool) and, once the scan reaches it, its projections on the sections
+    b_l chosen so far and its residual kernel diagonal
+    kres(x) = K(x,x) - sum_{l<i} (P(x) . b_l)^2.  Step i accepts the first
+    unused entry whose residual exceeds its threshold, i.e. whose uniform
+    falls below (residual density)/(majorant), and moves the cursor past it.
+    Which entry step i takes depends only on the entries up to it, so the
+    entries after it are still i.i.d. draws from the envelope, independent
+    of everything accepted so far, and step i+1 may use them.  An empty pool
+    is refilled with one envelope draw sized to the expected tries still to
+    come.
+
+    Residuals are kept current only on a scan window [cur, hi) of the pool.
+    When the scan runs out of window, the next block of entries is brought
+    up to date with one GEMM against all chosen sections, sized to about
+    total * (ln 4 + 1/r) tries with r points left (at least _MIN_BLOCK
+    entries); each accepted section is folded into the window alone.  Every
+    entry is tested once, when its residual accounts for exactly the
+    sections chosen before its step.
 
     The accepted section P(x) is orthonormalized against the chosen ones by
-    classical Gram-Schmidt, re-orthogonalized only when the first pass
-    cancels: a second pass runs when |v|^2 < |P(x)|^2 / 2, the DGKS test with
-    kappa = 1/sqrt(2) (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
-    1976; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  The
-    pool, the envelope and the acceptance rule do not depend on it.
+    classical Gram-Schmidt from its stored projections, re-orthogonalized
+    only when the first pass cancels: a second pass runs when
+    |v|^2 < |P(x)|^2 / 2, the DGKS test with kappa = 1/sqrt(2) (Daniel,
+    Gragg, Kaufman & Stewart, Math. Comp. 30, 1976; Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005).  The pool, the envelope and
+    the acceptance rule do not depend on it.  The last step needs neither
+    its section nor the residuals after it.
     """
     n = kern.n
     basis = np.empty((n, n))  # orthonormal coefficient vectors of chosen sections
     points = np.empty(n)
-    cur = end = 0  # entries [cur, end) of the pool are unused
+    # entries [cur, hi) of the pool are unused and current with basis[:i];
+    # entries [hi, end) are unused and not yet caught up
+    cur = hi = end = 0
     for i in range(n):
         tries = 0  # pool entries examined since the last acceptance
         while True:
-            if cur == end:
-                if tries >= _PROPOSAL_CAP:
-                    raise SamplingStallError(i, tries, {
-                        "n": n, "accepted_points": points[:i].tolist(),
-                        "envelope_mass": env.total,
-                    })
-                # with r points left a try succeeds at rate ~ r/total, so about
-                # total * (1 + 1/2 + ... + 1/r) <= total * (ln r + 1) tries remain
-                size = int(_POOL_HEADROOM * env.total * (math.log(n - i) + 1.0)) + 1
-                size = min(size, max(1, _POOL_DOUBLES // n))
-                x, P, kdiag, height, dens = env.propose(gen, size)
-                proj = P @ basis[:i].T
-                kres = kdiag - np.einsum("ij,ij->i", proj, proj)
-                # accept with prob (residual density)/(majorant): exact because
-                # the majorant dominates the full marginal, hence the residual too
-                bar = gen.random(size) * height
-                gain = dens / np.maximum(kdiag, 1e-300)
-                cur, end = 0, size
-            hit = bar[cur:] < gain[cur:] * kres[cur:]
+            if cur == hi:
+                if hi == end:
+                    if tries >= _PROPOSAL_CAP:
+                        raise SamplingStallError(i, tries, {
+                            "n": n, "accepted_points": points[:i].tolist(),
+                            "envelope_mass": env.total,
+                        })
+                    # with r points left a try succeeds at rate ~ r/total, so
+                    # about total * (1 + 1/2 + ... + 1/r) <= total * (ln r + 1)
+                    # tries remain
+                    size = int(_POOL_HEADROOM * env.total * (math.log(n - i) + 1.0)) + 1
+                    size = min(size, max(1, _POOL_DOUBLES // n))
+                    x, P, kdiag, height, dens = env.propose(gen, size)
+                    # accept with prob (residual density)/(majorant): exact
+                    # because the majorant dominates the full marginal, hence
+                    # the residual too; a zero density never accepts
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        thr = gen.random(size) * height / (dens / np.maximum(kdiag, 1e-300))
+                    proj = np.empty((size, n))
+                    kres = np.empty(size)
+                    cur = hi = 0
+                    end = size
+                block = int(env.total * (_WINDOW_SPAN + 1.0 / (n - i))) + 2
+                new = min(end, hi + max(_MIN_BLOCK, block))
+                _catch_up(P, kdiag, basis, i, proj, kres, hi, new)
+                hi = new
+            hit = kres[cur:hi] > thr[cur:hi]
             k = int(hit.argmax())
             if hit[k]:
                 j = cur + k
                 break
-            tries += end - cur
-            cur = end
+            tries += hi - cur
+            cur = hi
         points[i] = x[j]
-        _orthonormalize(basis, i, P[j], kdiag[j])
         cur = j + 1
-        kres[cur:] -= (P[cur:] @ basis[i]) ** 2
+        if i + 1 < n:
+            _orthonormalize(basis, i, P[j], kdiag[j], proj[j, :i])
+            _fold(P, basis, i, proj, kres, cur, hi)
     return np.sort(points)
 
 

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from opelab import functions, measures
-from opelab.errors import ConfigurationError, NumericalError
+from opelab import functions, measures, sampler
+from opelab.errors import ConfigurationError, NumericalError, SamplingStallError
 from opelab.kernel import CDKernel, kernel_sum
 from opelab.linstat import exact_mean, exact_variance
 from opelab.sampler import (
     RngStream,
     SampleConfiguration,
+    _catch_up,
+    _envelope,
+    _fold,
     _orthonormalize,
     check_sampleable,
     export_samples,
@@ -178,7 +181,7 @@ class TestGramSchmidtStep:
     def test_residual_accuracy(self, fraction):
         basis, p = self._case(fraction)
         B = basis[:self.i]
-        _orthonormalize(basis, self.i, p, float(p @ p))
+        _orthonormalize(basis, self.i, p, float(p @ p), B @ p)
         b = basis[self.i]
         ref = self._reference(B, p)
         assert np.max(np.abs(B.astype(np.longdouble) @ b)) <= self.tol
@@ -187,8 +190,88 @@ class TestGramSchmidtStep:
     @pytest.mark.parametrize("fraction", fractions)
     def test_second_pass_only_on_cancellation(self, fraction):
         basis, p = self._case(fraction)
-        passes = _orthonormalize(basis, self.i, p, float(p @ p))
+        passes = _orthonormalize(basis, self.i, p, float(p @ p), basis[:self.i] @ p)
         assert passes == (1 if fraction >= 0.5 else 2)
+
+
+class TestWindowBookkeeping:
+    """The sampler's pool residuals kres = K(x,x) - sum_{l<i} (P(x) . b_l)^2,
+    kept on a scan window by block catch-ups and one fold per chosen section,
+    against the same sums in long double.  A random orthonormal basis stands
+    in for the chosen sections; the first block is caught up before any
+    section is chosen, the window's low end moves up as steps accept entries,
+    a second block is caught up halfway, and the last section is never
+    folded, as in the sampler."""
+
+    tol = 1e-14  # max |kres - ref| / K(x,x), fixed before measuring
+
+    def _assert_current(self, P, basis, i, proj, kres, lo, hi):
+        Pl = P[lo:hi].astype(np.longdouble)
+        ref_proj = Pl @ basis[:i].astype(np.longdouble).T
+        ref = np.einsum("ij,ij->i", Pl, Pl) - np.einsum("ij,ij->i", ref_proj, ref_proj)
+        kdiag = np.einsum("ij,ij->i", P[lo:hi], P[lo:hi])
+        assert np.max(np.abs(kres[lo:hi] - ref) / kdiag) <= self.tol
+        assert np.max(np.abs(proj[lo:hi, :i] - ref_proj) / np.sqrt(kdiag[:, None])) <= self.tol
+
+    @pytest.mark.parametrize("n", [8, 50, 120])
+    def test_residuals_match_long_double(self, n):
+        gen = np.random.default_rng(59 + n)
+        q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+        basis = q.T
+        m = 6 * n
+        # rows of mixed scale; every third lies within 1e-4 of the span of
+        # the first n - 1 sections, so that kres cancels most of K(x,x)
+        P = gen.standard_normal((m, n))
+        P[::3, -1] *= 1e-4
+        P = (P @ basis) * np.exp(gen.uniform(-5.0, 5.0, (m, 1)))
+        kdiag = np.einsum("ij,ij->i", P, P)
+        proj, kres = np.empty((m, n)), np.empty(m)
+        lo, hi = 0, m // 3
+        _catch_up(P, kdiag, basis, 0, proj, kres, lo, hi)
+        for i in range(n - 1):
+            if i == n // 2:
+                self._assert_current(P, basis, i, proj, kres, lo, hi)
+                _catch_up(P, kdiag, basis, i, proj, kres, hi, m)
+                hi = m
+            _fold(P, basis, i, proj, kres, lo, hi)
+            lo = min(lo + 1, hi - 1)
+        self._assert_current(P, basis, n - 1, proj, kres, lo, hi)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("mu, n", [(measures.legendre(), 50), (measures.chebyshev(), 8)],
+                             ids=["legendre", "chebyshev"])
+    def test_largest_uniform_lands_in_the_last_cell(self, mu, n):
+        """The cumulative cell mass ends at exactly 1, so the largest double
+        below 1 picks the last cell instead of running off the grid."""
+
+        class Largest:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0 ** -53)
+
+        env = _envelope(CDKernel(mu, n))
+        assert env.cum[-1] == 1.0
+        x, _, _, height, _ = env.propose(Largest(), 3)
+        assert np.all(height == env.heights[-1])
+        assert np.all(np.abs(x) <= 1.0)
+
+
+class TestSamplingStall:
+    def test_stall_reports_point_tries_and_state(self, monkeypatch):
+        """Pools of four entries and a cap of ten tries: a step that rejects
+        ten entries in a row stalls at the next refill."""
+        monkeypatch.setattr(sampler, "_PROPOSAL_CAP", 10)
+        monkeypatch.setattr(sampler, "_POOL_DOUBLES", 4 * 8)
+        kern = CDKernel(measures.chebyshev(), 8)
+        with pytest.raises(SamplingStallError) as info:
+            sample_ope_batch(kern, RngStream(3, 0), 50)
+        err = info.value
+        assert 0 <= err.point_index < 8
+        assert err.tries >= 10 and err.tries % 4 == 0
+        assert set(err.state) == {"n", "accepted_points", "envelope_mass"}
+        assert err.state["n"] == 8
+        assert len(err.state["accepted_points"]) == err.point_index
+        assert err.state["envelope_mass"] == _envelope(kern).total
 
 
 class TestSampleability:
@@ -206,8 +289,6 @@ class TestSampleability:
     def test_envelope_dominates_next_to_the_ends(self):
         # within ~3e-8 of theta = 0, pi the x-coordinate weight 1/sqrt(1 - x^2)
         # can be off by more than the envelope's 5 % pad
-        from opelab.sampler import _envelope
-
         kern = CDKernel(measures.chebyshev(), 50)
         env = _envelope(kern)
         gap = np.linspace(1e-9, 1e-7, 2001)
