@@ -28,7 +28,7 @@ from .linstat import (
 from .sampler import (
     RngStream,
     SampleConfiguration,
-    sample_gue_tridiagonal,
+    sample_matrix_model,
     sample_ope,
 )
 from .bounds import BoundReport, ConstantA, constant_A

@@ -1,5 +1,6 @@
-"""Asymptotic diagnostics: Nevai functionals, bulk universality, equilibrium
-densities, and finite-n decay trends standing in for o(1)/o(n) statements."""
+"""Asymptotic diagnostics: Nevai functionals, bulk universality, the distance
+to a family's equilibrium density (see Measure.equilibrium), and finite-n
+decay trends standing in for o(1)/o(n) statements."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .errors import DomainError, PreconditionError
 from .kernel import CDKernel, _rescaled, _sqrt_weight, kernel_matrix, kernel_tilde
 from .linstat import (_M_BASE, ScaledStatistic, TestFunction, _global_rule, _window_rule,
                       exact_scaled_variance, scaled_function)
-from .measures import Measure
+from .measures import EquilibriumDensity, Measure, arcsine_density, semicircle_density
 
 __all__ = [
     "EquilibriumDensity",
@@ -31,49 +32,6 @@ __all__ = [
 ]
 
 _DEFAULT_S_GRID = tuple(np.linspace(-2.0, 2.0, 21))
-
-
-@dataclass(frozen=True)
-class EquilibriumDensity:
-    """A limiting spectral density with its support."""
-
-    kind: str
-    evaluator: Callable
-    support: tuple[float, float]
-
-    def __call__(self, x):
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
-
-
-def arcsine_density(support: tuple[float, float] = (-1.0, 1.0)) -> EquilibriumDensity:
-    """Equilibrium measure of [c - h, c + h]: 1 / (pi sqrt(h^2 - (x - c)^2))."""
-    lo, hi = support
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 / (np.pi * np.sqrt(np.maximum(h * h - (x - c) * (x - c), 0.0)))
-
-    return EquilibriumDensity("Arcsine", ev, (float(lo), float(hi)))
-
-
-def semicircle_density(measure: Measure, n: int) -> EquilibriumDensity:
-    """Semicircle law for the varying Gaussian weight at rank n.
-
-    The support radius is read off the recurrence: the spectral edge is
-    max_k (a_k + 2 b_{k+1}) over the first n coefficients.
-    """
-    coeffs = measure.recurrence(n)
-    a = coeffs.diag[:n]
-    b = coeffs.offdiag[:n]
-    radius = float(np.max(a + 2.0 * b))
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 / (np.pi * radius * radius) * np.sqrt(
-            np.maximum(radius * radius - x * x, 0.0))
-
-    return EquilibriumDensity("SemicircleVaryingGaussian", ev, (-radius, radius))
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,9 @@ from . import __version__
 from .asymptotics import (
     _nevai_points,
     _universality_points,
-    arcsine_density,
     concentration_mass,
     nevai_integral,
     alpha_nevai_functional,
-    semicircle_density,
     totik_error,
     universality_error,
 )
@@ -33,7 +31,7 @@ from .functions import from_spec
 from .kernel import CDKernel
 from .linstat import ScaledStatistic, exact_mean, exact_scaled_variance, exact_variance
 from .measures import Measure, config_number
-from .sampler import (RngStream, check_sampleable, export_samples, sample_gue_batch,
+from .sampler import (RngStream, check_sampleable, export_samples, sample_matrix_model_batch,
                       sample_ope_batch)
 
 _EXPERIMENTS = ("sample", "stats", "bounds", "nevai", "universality", "report")
@@ -49,6 +47,14 @@ def _section(raw: dict, key: str, default, kind: type):
         json_kind = "object" if kind is dict else "array"
         raise ConfigurationError(f"{key} must be a JSON {json_kind}, got {value!r}")
     return value
+
+
+def _u64_seed(value) -> int:
+    """The seed of a config or of --seed; ConfigurationError unless a u64."""
+    seed = config_number(value, "seed", integer=True)
+    if not (0 <= seed < 2**64):
+        raise ConfigurationError("seed must be u64")
+    return seed
 
 
 @dataclass
@@ -97,9 +103,7 @@ class ExperimentConfig:
         replicas = config_number(raw.get("replicas", min_replicas), "replicas", integer=True)
         if replicas < min_replicas:
             raise ConfigurationError(f"{experiment} needs replicas >= {min_replicas}")
-        seed = config_number(raw.get("seed", 0), "seed", integer=True)
-        if not (0 <= seed < 2**64):
-            raise ConfigurationError("seed must be u64")
+        seed = _u64_seed(raw.get("seed", 0))
         eps = [config_number(e, "epsilons entry")
                for e in _section(raw, "epsilons", [0.1, 0.3], list)]
         if any(e <= 0 for e in eps):
@@ -162,7 +166,7 @@ def _run_sample(cfg: ExperimentConfig, out: Path) -> list:
     for n in cfg.n_grid:
         rng = RngStream(cfg.seed, 0)
         if cfg.method == "tridiagonal":
-            samples = sample_gue_batch(n, rng, cfg.replicas, cfg.measure.gaussian_n)
+            samples = sample_matrix_model_batch(cfg.measure, n, rng, cfg.replicas)
         else:
             samples = sample_ope_batch(CDKernel(cfg.measure, n), rng, cfg.replicas)
         path = out / f"samples_n{n}.csv"
@@ -210,8 +214,7 @@ def _nevai_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
 
 def _universality_rows(cfg: ExperimentConfig, kern: CDKernel) -> list:
     ue = universality_error(kern, cfg.statistic.xstar)
-    rho = (arcsine_density(cfg.measure.support) if cfg.measure.compact
-           else semicircle_density(cfg.measure, kern.n))
+    rho = cfg.measure.equilibrium(kern.n)
     lo, hi = rho.support   # the middle half of the equilibrium support
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     te = totik_error(kern, rho, (mid - 0.5 * half, mid + 0.5 * half))
@@ -309,11 +312,10 @@ def main(argv=None) -> int:
         print(f"config names experiment {cfg.experiment!r}, "
               f"but subcommand is {args.command!r}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.raw["seed"] = args.seed
     out_dir = args.out or cfg.raw.get("output_dir", "opelab-out")
     try:
+        if args.seed is not None:   # checked before run writes anything
+            cfg.seed = cfg.raw["seed"] = _u64_seed(args.seed)
         run(cfg, out_dir)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.special import betaln
 
 from .errors import (
@@ -37,6 +37,9 @@ __all__ = [
     "jacobi",
     "varying_gaussian",
     "Coordinate",
+    "EquilibriumDensity",
+    "arcsine_density",
+    "semicircle_density",
     "Family",
     "FAMILIES",
     "orthonormal_prefix",
@@ -270,12 +273,6 @@ class Measure:
     def compact(self) -> bool:
         return math.isfinite(self.support[0]) and math.isfinite(self.support[1])
 
-    @property
-    def gaussian_n(self) -> int | None:
-        """N of a Gaussian weight exp(-N x^2 / 2); None for other weights."""
-        get = self.spec.gaussian_n
-        return None if get is None else get(self)
-
     # -- weight density -----------------------------------------------------
 
     def weight(self, x) -> np.ndarray:
@@ -294,6 +291,11 @@ class Measure:
         """The coordinate in which HKPV proposes and panel rules lie at rank n:
         one in which the density of the measure is bounded."""
         return self.spec.coordinate(self, n)
+
+    def equilibrium(self, n: int) -> "EquilibriumDensity":
+        """The limit of w(x) K_n(x,x) / n: the equilibrium density of the
+        measure at rank n."""
+        return self.spec.equilibrium(self, n)
 
     # -- recurrence coefficients, lazily extended ---------------------------
 
@@ -426,33 +428,97 @@ def _gaussian_coordinate(mu: Measure, n: int) -> Coordinate:
 
 
 @dataclass(frozen=True)
+class EquilibriumDensity:
+    """A limiting spectral density with its support."""
+
+    kind: str
+    evaluator: Callable
+    support: tuple[float, float]
+
+    def __call__(self, x):
+        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
+
+
+def arcsine_density(support: tuple[float, float] = (-1.0, 1.0)) -> EquilibriumDensity:
+    """Equilibrium measure of [c - h, c + h]: 1 / (pi sqrt(h^2 - (x - c)^2))."""
+    lo, hi = support
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        return 1.0 / (np.pi * np.sqrt(np.maximum(h * h - (x - c) * (x - c), 0.0)))
+
+    return EquilibriumDensity("Arcsine", ev, (float(lo), float(hi)))
+
+
+def semicircle_density(measure: Measure, n: int) -> EquilibriumDensity:
+    """Semicircle law for the varying Gaussian weight at rank n.
+
+    The support radius is read off the recurrence: the spectral edge is
+    max_k (a_k + 2 b_{k+1}) over the first n coefficients.
+    """
+    coeffs = measure.recurrence(n)
+    radius = float(np.max(coeffs.diag[:n] + 2.0 * coeffs.offdiag[:n]))
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 / (np.pi * radius * radius) * np.sqrt(
+            np.maximum(radius * radius - x * x, 0.0))
+
+    return EquilibriumDensity("SemicircleVaryingGaussian", ev, (-radius, radius))
+
+
+# Off-diagonal scale of the tridiagonal Gaussian model: the beta = 2 case of
+# Dumitriu-Edelman's chi_{beta k} / sqrt(2) entries (J. Math. Phys. 2002).
+_TRIDIAG_OFFDIAG_SCALE = 1.0 / math.sqrt(2.0)
+
+
+def _gue_points(mu: Measure, n: int, gen: np.random.Generator) -> np.ndarray:
+    # eigenvalues of the beta = 2 tridiagonal model, scaled to exp(-N x^2 / 2)
+    diag = gen.standard_normal(n)
+    k = np.arange(n - 1, 0, -1)
+    off = np.sqrt(gen.chisquare(2 * k)) * _TRIDIAG_OFFDIAG_SCALE
+    try:
+        vals = eigvalsh_tridiagonal(diag, off)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return np.sort(vals) / math.sqrt(mu.params["n"])
+
+
+@dataclass(frozen=True)
 class Family:
     """Everything that depends on the family of a measure.
 
     The callables take the Measure first.  params maps each config parameter
     to its type, int or float; factory takes them by name.  coordinate(mu, n)
-    is the Coordinate of HKPV proposals and panel rules at rank n.  log_weight
+    is the Coordinate of HKPV proposals and panel rules at rank n, and
+    equilibrium(mu, n) the EquilibriumDensity that w(x) K_n(x,x) / n tends
+    to.  matrix_model(mu, n, gen), where the family has one, draws the rank-n
+    ensemble, sorted, as the eigenvalues of a random matrix.  log_weight
     defaults to log(weight).  theta_density, the density in theta of
     x = cos(theta), is required by _theta_coordinate; it is written in
     sin(theta/2) and cos(theta/2), since 1 -+ x = 2 sin^2(theta/2),
     2 cos^2(theta/2), where 1 - x*x would lose all digits next to theta = 0
-    and pi.  rule is a closed-form
-    Gauss rule (m, ncols) -> (nodes, weights, S) like gauss_quadrature_scaled.
-    gaussian_n is the N of a Gaussian weight exp(-N x^2 / 2), the scale of
-    the tridiagonal model.  check_hkpv raises ConfigurationError where the
-    family's coordinate leaves the density unbounded.
+    and pi.  rule is a closed-form Gauss rule (m, ncols) -> (nodes, weights, S)
+    like gauss_quadrature_scaled.  check_hkpv raises ConfigurationError where
+    the family's coordinate leaves the density unbounded.
     """
 
     factory: Callable
     recurrence: Callable
     weight: Callable
     coordinate: Callable
+    equilibrium: Callable
     params: dict = field(default_factory=dict)
     log_weight: Callable | None = None
     theta_density: Callable | None = None
     rule: Callable | None = None
-    gaussian_n: Callable | None = None
+    matrix_model: Callable | None = None
     check_hkpv: Callable | None = None
+
+
+def _arcsine_equilibrium(mu: Measure, n: int) -> EquilibriumDensity:
+    return arcsine_density(mu.support)
 
 
 def _chebyshev_weight(mu: Measure, x: np.ndarray) -> np.ndarray:
@@ -487,24 +553,24 @@ def _jacobi_check_hkpv(mu: Measure) -> None:
 FAMILIES: dict[str, Family] = {
     "chebyshev1st": Family(
         chebyshev, lambda mu, depth: _chebyshev_coeffs(depth), _chebyshev_weight,
-        _theta_coordinate, theta_density=lambda mu, th: np.full(th.shape, 1.0 / math.pi),
-        rule=_chebyshev_rule),
+        _theta_coordinate, _arcsine_equilibrium,
+        theta_density=lambda mu, th: np.full(th.shape, 1.0 / math.pi), rule=_chebyshev_rule),
     "legendre": Family(
         legendre, lambda mu, depth: _legendre_coeffs(depth),
         lambda mu, x: np.where(np.abs(x) <= 1.0, 0.5, 0.0), _theta_coordinate,
-        theta_density=lambda mu, th: 0.5 * np.sin(th)),
+        _arcsine_equilibrium, theta_density=lambda mu, th: 0.5 * np.sin(th)),
     "jacobi": Family(
         jacobi, lambda mu, depth: _jacobi_coeffs(depth, mu.params["a_exp"], mu.params["b_exp"]),
         lambda mu, x: np.exp(_jacobi_log_weight(mu, x)), _theta_coordinate,
-        {"a_exp": float, "b_exp": float},
+        _arcsine_equilibrium, {"a_exp": float, "b_exp": float},
         log_weight=_jacobi_log_weight, theta_density=_jacobi_theta_density,
         check_hkpv=_jacobi_check_hkpv),
     "varying_gaussian": Family(
         varying_gaussian, lambda mu, depth: _varying_gaussian_coeffs(depth, mu.params["n"]),
         lambda mu, x: (math.sqrt(mu.params["n"] / (2.0 * math.pi))
                        * np.exp(-0.5 * mu.params["n"] * x * x)),
-        _gaussian_coordinate, {"n": int},
+        _gaussian_coordinate, semicircle_density, {"n": int},
         log_weight=lambda mu, x: (0.5 * math.log(mu.params["n"] / (2.0 * math.pi))
                                   - 0.5 * mu.params["n"] * x * x),
-        gaussian_n=lambda mu: mu.params["n"]),
+        matrix_model=_gue_points),
 }

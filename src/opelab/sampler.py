@@ -11,8 +11,10 @@ i.i.d. proposal pool, and the n sequential steps use it up in order; the
 residual kernel diagonal of an entry is brought up to date, a block at a
 time, only when the scan reaches it.
 
-A tridiagonal random-matrix model provides an independent sampler for the
-varying Gaussian weight, used as a cross-validation oracle.
+A family with a matrix_model in the table of opelab.measures (today the
+varying Gaussian weight, by the beta = 2 tridiagonal model) has a second,
+independent sampler, used as a cross-validation oracle: the eigenvalues of
+the random matrix, one Philox substream per replica.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, NumericalError, PreconditionError, SamplingStallError
 from .kernel import CDKernel
@@ -34,7 +35,8 @@ __all__ = [
     "SampleConfiguration",
     "sample_ope",
     "sample_ope_batch",
-    "sample_gue_tridiagonal",
+    "sample_matrix_model",
+    "sample_matrix_model_batch",
     "check_sampleable",
     "export_samples",
 ]
@@ -60,10 +62,6 @@ _MIN_BLOCK = 64
 # A Gram-Schmidt pass that keeps at least this share of |P(x)|^2 needs no
 # second pass: the DGKS test with kappa^2 = 1/2 (see _orthonormalize).
 _DGKS_KEEP = 0.5
-
-# Off-diagonal scale of the tridiagonal Gaussian model: the beta = 2 case of
-# Dumitriu-Edelman's chi_{beta k} / sqrt(2) entries (J. Math. Phys. 2002).
-_TRIDIAG_OFFDIAG_SCALE = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -112,13 +110,13 @@ def check_sampleable(measure: Measure, method: str = "hkpv") -> None:
     """ConfigurationError unless `method` can sample the ensemble of `measure`.
 
     HKPV needs a bounded marginal density in the family's coordinate, which
-    the family's check_hkpv asserts.  The tridiagonal model exists only for
-    a Gaussian weight.
+    the family's check_hkpv asserts.  The tridiagonal method needs the
+    family's matrix_model.
     """
     if method == "tridiagonal":
-        if measure.gaussian_n is None:
+        if measure.spec.matrix_model is None:
             raise ConfigurationError(
-                f"tridiagonal method needs a Gaussian weight, not family {measure.family!r}")
+                f"tridiagonal method needs a matrix model, which family {measure.family!r} lacks")
         return
     if measure.spec.check_hkpv is not None:
         measure.spec.check_hkpv(measure)
@@ -342,38 +340,26 @@ def sample_ope_batch(kern: CDKernel, rng: RngStream, replicas: int) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal matrix model for the varying Gaussian weight
+# The family's random-matrix model
 # ---------------------------------------------------------------------------
 
-def _gue_points(n: int, gen: np.random.Generator, weight_n: int) -> np.ndarray:
-    diag = gen.standard_normal(n)
-    k = np.arange(n - 1, 0, -1)
-    off = np.sqrt(gen.chisquare(2 * k)) * _TRIDIAG_OFFDIAG_SCALE
-    try:
-        vals = eigvalsh_tridiagonal(diag, off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return np.sort(vals) / math.sqrt(weight_n)
-
-
-def sample_gue_tridiagonal(n: int, rng: RngStream,
-                           weight_n: int | None = None) -> SampleConfiguration:
-    """Eigenvalues of the beta=2 tridiagonal model, matching the rank-n
-    ensemble of the varying Gaussian weight exp(-N x^2 / 2), N = weight_n
-    (default n)."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    points = _gue_points(n, rng.generator(), n if weight_n is None else weight_n)
+def sample_matrix_model(measure: Measure, n: int, rng: RngStream) -> SampleConfiguration:
+    """One draw of the rank-n ensemble from the family's matrix model."""
+    points = sample_matrix_model_batch(measure, n, rng, 1)[0]
     return SampleConfiguration(points, rng.seed, "tridiagonal", n)
 
 
-def sample_gue_batch(n: int, rng: RngStream, replicas: int,
-                     weight_n: int | None = None) -> np.ndarray:
-    """replicas draws of sample_gue_tridiagonal, one child substream each."""
-    weight_n = n if weight_n is None else weight_n
+def sample_matrix_model_batch(measure: Measure, n: int, rng: RngStream,
+                              replicas: int) -> np.ndarray:
+    """replicas x n array of draws of the family's matrix model, one child
+    substream each (child 0 is rng's own stream); ConfigurationError for a
+    family without one."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    check_sampleable(measure, "tridiagonal")
     out = np.empty((replicas, n))
     for r in range(replicas):
-        out[r] = _gue_points(n, rng.child(r).generator(), weight_n)
+        out[r] = measure.spec.matrix_model(measure, n, rng.child(r).generator())
     return out
 
 

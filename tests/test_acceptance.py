@@ -33,7 +33,7 @@ from opelab.linstat import (
     exact_variance,
     log_mgf,
 )
-from opelab.sampler import RngStream, sample_gue_batch, sample_ope_batch
+from opelab.sampler import RngStream, sample_matrix_model_batch, sample_ope_batch
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -226,7 +226,8 @@ def test_criterion_10_sampler_cross_validation(capsys):
     kern = CDKernel(measures.varying_gaussian(n), n)
     want = exact_mean(kern, functions.get("square"))
     hkpv = np.sum(sample_ope_batch(kern, RngStream(10, 0), replicas) ** 2, axis=1)
-    tri = np.sum(sample_gue_batch(n, RngStream(10, 1), replicas) ** 2, axis=1)
+    tri = np.sum(sample_matrix_model_batch(measures.varying_gaussian(n), n, RngStream(10, 1),
+                                           replicas) ** 2, axis=1)
     ks = spstats.ks_2samp(hkpv, tri).statistic
     devs = [abs(np.mean(v) - want) / (np.std(v, ddof=1) / math.sqrt(replicas))
             for v in (hkpv, tri)]

@@ -83,6 +83,25 @@ class TestEquilibriumDensities:
         rho = asymptotics.semicircle_density(mu, 25)
         assert rho.support[1] == pytest.approx(1.0, abs=1e-12)  # 2 sqrt(25/100)
 
+    @pytest.mark.parametrize("family", sorted(measures.FAMILIES))
+    def test_every_family_approaches_its_law(self, family):
+        """w(x) K_n(x,x) / n tends to mu.equilibrium(n) on the middle half of
+        its support, for each family of the table at its example parameters."""
+        example = {"chebyshev1st": lambda n: measures.chebyshev(),
+                   "legendre": lambda n: measures.legendre(),
+                   "jacobi": lambda n: measures.jacobi(0.5, -0.3),
+                   "varying_gaussian": measures.varying_gaussian}[family]
+        errors = []
+        for n in (50, 400):
+            mu = example(n)
+            rho = mu.equilibrium(n)
+            lo, hi = rho.support
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            errors.append(asymptotics.totik_error(CDKernel(mu, n), rho,
+                                                  (mid - 0.5 * half, mid + 0.5 * half)))
+        assert errors[1] < errors[0]
+        assert errors[1] <= 1.5e-3
+
 
 class TestNevaiIntegral:
     def test_constant_is_exactly_zero(self):

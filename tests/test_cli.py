@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from opelab import cli, functions, linstat, measures
 from opelab.errors import ConfigurationError
-from opelab.sampler import RngStream, sample_gue_batch
+from opelab.sampler import RngStream, sample_matrix_model_batch
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -214,11 +214,31 @@ class TestMainEntry:
         assert m1["outputs"]["samples_n4.csv"] != m2["outputs"]["samples_n4.csv"]
         assert m2["config"]["seed"] == 99
 
-    def test_tridiagonal_requires_varying_gaussian(self, tmp_path):
-        payload = dict(BASE, experiment="sample", n_grid=[3], method="tridiagonal")
-        path = write_config(tmp_path, payload)
-        assert cli.main(["sample", "--config", path, "--out",
-                         str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize("experiment", ["stats", "sample"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_override_must_be_u64(self, tmp_path, capsys, experiment, seed):
+        """--seed meets the config's rule up front: exit 2, nothing written."""
+        path = write_config(tmp_path, dict(BASE, experiment=experiment, n_grid=[4]))
+        out = tmp_path / "o"
+        assert cli.main([experiment, "--config", path, "--out", str(out),
+                         "--seed", str(seed)]) == 2
+        assert "config error: seed must be u64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tridiagonal_requires_varying_gaussian(self, tmp_path, capsys):
+        """Every family without a matrix model refuses the tridiagonal method."""
+        params = {"jacobi": {"a_exp": 0.5, "b_exp": -0.3}}
+        families = [name for name, spec in measures.FAMILIES.items()
+                    if spec.matrix_model is None]
+        assert families
+        for family in families:
+            payload = dict(BASE, experiment="sample", n_grid=[3], method="tridiagonal",
+                           measure={"family": family, "params": params.get(family, {})})
+            path = write_config(tmp_path, payload)
+            assert cli.main(["sample", "--config", path, "--out",
+                             str(tmp_path / "o")]) == 2
+            assert (f"tridiagonal method needs a matrix model, which family {family!r} lacks"
+                    in capsys.readouterr().err)
 
     def test_tridiagonal_scales_by_the_weight_n(self, tmp_path):
         """Rank 4 of exp(-16 x^2 / 2): the CSV holds the draws for N = 16."""
@@ -229,7 +249,7 @@ class TestMainEntry:
                          "--out", str(out)]) == 0
         rows = (out / "samples_n4.csv").read_text().splitlines()[3:]
         got = np.array([float(r.split(",")[2]) for r in rows]).reshape(3, 4)
-        want = sample_gue_batch(4, RngStream(7, 0), 3, 16)
+        want = sample_matrix_model_batch(measures.varying_gaussian(16), 4, RngStream(7, 0), 3)
         assert np.array_equal(got, want)
 
     def test_overflowing_envelope_exits_3_with_json(self, tmp_path, capsys):

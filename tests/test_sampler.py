@@ -17,8 +17,8 @@ from opelab.sampler import (
     _orthonormalize,
     check_sampleable,
     export_samples,
-    sample_gue_batch,
-    sample_gue_tridiagonal,
+    sample_matrix_model,
+    sample_matrix_model_batch,
     sample_ope,
     sample_ope_batch,
 )
@@ -305,7 +305,8 @@ class TestSampleability:
 
 class TestTridiagonalModel:
     def test_n1_is_standard_normal(self):
-        draws = np.array([sample_gue_tridiagonal(1, RngStream(2, i)).points[0]
+        draws = np.array([sample_matrix_model(measures.varying_gaussian(1), 1,
+                                              RngStream(2, i)).points[0]
                           for i in range(2000)])
         assert stats.kstest(draws, "norm").statistic <= 0.03
 
@@ -314,7 +315,8 @@ class TestTridiagonalModel:
         """Frozen off-diagonal scale: E sum lambda^2 matches the quadrature
         value n for the matching varying Gaussian weight."""
         reps = 4000
-        vals = np.sum(sample_gue_batch(n, RngStream(3, 0), reps) ** 2, axis=1)
+        vals = np.sum(sample_matrix_model_batch(measures.varying_gaussian(n), n,
+                                                RngStream(3, 0), reps) ** 2, axis=1)
         kern = CDKernel(measures.varying_gaussian(n), n)
         want = exact_mean(kern, functions.get("square"))
         se = np.std(vals, ddof=1) / np.sqrt(reps)
@@ -325,19 +327,22 @@ class TestTridiagonalModel:
         """Rank 4 under exp(-16 x^2 / 2): the eigenvalues scale by 1/sqrt(16),
         not by 1/sqrt(rank)."""
         n, big_n, reps = 4, 16, 4000
-        vals = np.sum(sample_gue_batch(n, RngStream(1, 0), reps, big_n) ** 2, axis=1)
+        vals = np.sum(sample_matrix_model_batch(measures.varying_gaussian(big_n), n,
+                                                RngStream(1, 0), reps) ** 2, axis=1)
         want = exact_mean(CDKernel(measures.varying_gaussian(big_n), n), functions.get("square"))
         se = np.std(vals, ddof=1) / np.sqrt(reps)
         assert want == pytest.approx(1.0, rel=1e-10)
         assert abs(np.mean(vals) - want) <= 4 * se
-        one = sample_gue_tridiagonal(n, RngStream(1, 0), big_n).points
-        assert np.array_equal(one * 2.0, sample_gue_tridiagonal(n, RngStream(1, 0)).points)
+        one = sample_matrix_model(measures.varying_gaussian(big_n), n, RngStream(1, 0)).points
+        rank_n = sample_matrix_model(measures.varying_gaussian(n), n, RngStream(1, 0)).points
+        assert np.array_equal(one * 2.0, rank_n)
 
     def test_cross_validation_ks(self):
         n, reps = 10, 1500
         kern = CDKernel(measures.varying_gaussian(n), n)
         hkpv = np.sum(sample_ope_batch(kern, RngStream(5, 0), reps) ** 2, axis=1)
-        tri = np.sum(sample_gue_batch(n, RngStream(7, 0), reps) ** 2, axis=1)
+        tri = np.sum(sample_matrix_model_batch(measures.varying_gaussian(n), n,
+                                               RngStream(7, 0), reps) ** 2, axis=1)
         assert stats.ks_2samp(hkpv, tri).statistic <= 0.05
 
 

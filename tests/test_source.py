@@ -9,11 +9,15 @@ module takes them from Measure.recurrence, one object per depth.  Outside
 linstat.py no module may call a Gauss-Legendre panel primitive or
 _panel_rule itself: every rule is built in linstat, around the kernel's
 cache.  Outside measures.py no module may call theta_density, acos or
-arccos: the theta coordinate is the compact families' Coordinate, and
-sampler.py reads no measure's shape (.compact) at all.
+arccos: the theta coordinate is the compact families' Coordinate.
+cli.py and sampler.py read no measure's shape (.compact) at all: the
+equilibrium law and the matrix model are entries of the table too, and no
+module names the Gaussian special case gaussian_n that the matrix model
+replaced.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -85,8 +89,23 @@ def test_no_theta_coordinate_outside_measures(path):
     assert calls == []
 
 
+def _shape_reads(path):
+    tree = ast.parse((SRC / path).read_text())
+    return [f"{path}:{node.lineno}: .compact read" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "compact"]
+
+
 def test_sampler_reads_no_shape():
-    tree = ast.parse((SRC / "sampler.py").read_text())
-    reads = [f"sampler.py:{node.lineno}: .compact read" for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "compact"]
-    assert reads == []
+    assert _shape_reads("sampler.py") == []
+
+
+def test_cli_reads_no_shape():
+    assert _shape_reads("cli.py") == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_gaussian_special_case(path):
+    lines = (SRC / path).read_text().splitlines()
+    named = [f"{path}:{i}: gaussian_n named" for i, line in enumerate(lines, 1)
+             if re.search(r"\bgaussian_n\b", line)]
+    assert named == []
