@@ -157,6 +157,26 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def toolchain() -> dict:
+    """The python, numpy and scipy versions, and the BLAS that numpy and
+    scipy were built against ('name version', or 'unknown' when a
+    show_config has no dict form): the last digits of every output depend
+    on them.  The run manifest and the test-log header both record it."""
+    import numpy
+    import scipy
+
+    def blas(module) -> str:
+        try:
+            dep = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except Exception:
+            return "unknown"
+        return f"{dep.get('name', '?')} {dep.get('version', '?')}"
+
+    return {"python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": numpy.__version__, "numpy_blas": blas(numpy),
+            "scipy": scipy.__version__, "scipy_blas": blas(scipy)}
+
+
 # ---------------------------------------------------------------------------
 # Experiment bodies: each returns a list of written file names
 # ---------------------------------------------------------------------------
@@ -278,6 +298,7 @@ def run(cfg: ExperimentConfig, out_dir: str) -> dict:
         "constant_A": constant_A().value,
         "wall_clock_s": stages,
         "outputs": {name: _sha256(out / name) for name in files},
+        "toolchain": toolchain(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

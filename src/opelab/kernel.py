@@ -22,8 +22,9 @@ __all__ = [
 # Below this separation the two-point formula cancels badly; route to the sum.
 _CD_SWITCH = 1e-6
 # Entries a kernel's cache keeps: a rule per quadrature rung and window, the
-# sampler's envelope and a report's scaled variances.  No benchmark workload
-# holds more than this at once.
+# Gram square of a rule that explicit-m variances read (linstat._gram_square,
+# at most 8 MB each), the sampler's envelope and a report's scaled variances.
+# No benchmark workload holds more than this at once.
 _CACHE_SIZE = 32
 
 

@@ -12,6 +12,11 @@ agree.  One pass over the ladder serves every requested moment of f: each
 rung evaluates f on its nodes once.  The variance is the two-term form
 above, computed once; for polynomial f the tests check it, and the mean,
 against the exact Jacobi-matrix moments.
+
+A caller that passes m gets one fixed m-point rule, and sweeps of many f over
+it (Lemma 3.2, Thm 3.1) pay the cross term of every variance.  There the
+kernel caches the rule's Gram square (S S^T) o (S S^T), m x m, so the cross
+term is one matvec; see _ladder for when.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ _M_BASE = 64
 _M_CAP_FACTOR = 16
 _M_CAP_BASE = 1024
 _REFINE_RTOL = 1e-9
+# Largest Gram square a kernel caches, in doubles (8 MB, about the size of
+# sampler._POOL_DOUBLES): m <= 1024 nodes.
+_GRAM_DOUBLES = 1 << 20
 # 16-point Gauss-Legendre rule on [-1, 1], the panel of every composite rule.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -189,16 +197,38 @@ def _window_for(kern: CDKernel, f: TestFunction):
     return (wlo, whi)
 
 
-def _term(term, fv: np.ndarray, S: np.ndarray, kd: np.ndarray) -> float:
-    """One moment of X_f on a rule, from fv = f(nodes) and kd = w K(x, x)."""
+def _gram_square(kern: CDKernel, m: int, S: np.ndarray) -> np.ndarray:
+    """Q = (S S^T) o (S S^T) for the m-point mu-Gauss rule with design S,
+    cached on the kernel: Q_ik = w_i w_k K(x_i, x_k)^2, so the variance's
+    cross term iint f(x) f(y) K(x, y)^2 is f^T Q f on the rule."""
+    def build():
+        Q = S @ S.T
+        Q *= Q
+        return Q
+
+    return kern.cached(("gram", m), build)
+
+
+def _term(term, fv: np.ndarray, S: np.ndarray, kd: np.ndarray, gauss: bool,
+          Q: np.ndarray | None = None) -> float:
+    """One moment of X_f on a rule, from fv = f(nodes) and kd = w K(x, x).
+    gauss says the rule is a mu-Gauss rule; Q is its Gram square, or None."""
     if term == "mean":
         # sum_i w_i f(x_i) K(x_i, x_i) with the weight folded into S
         return float((fv * kd).sum())
     if term == "variance":
+        if Q is not None:
+            return float((fv * fv * kd).sum() - fv @ (Q @ fv))
         F = S.T @ (fv[:, None] * S)
         return float((fv * fv * kd).sum() - (F * F).sum())
-    M = S.T @ (np.expm1(term * fv)[:, None] * S)
-    M.reshape(-1)[:: M.shape[0] + 1] += 1.0   # the diagonal, in place
+    if gauss:
+        # S^T S = I on a mu-Gauss rule of m >= n nodes (exact to degree
+        # 2m - 1 >= 2n - 2), so I + S^T diag(e^{tf} - 1) S is
+        # S^T diag(e^{tf}) S, with no I - S^T S to cancel when e^{tf} << 1
+        M = S.T @ (np.exp(term * fv)[:, None] * S)
+    else:
+        M = S.T @ (np.expm1(term * fv)[:, None] * S)
+        M.reshape(-1)[:: M.shape[0] + 1] += 1.0   # the diagonal, in place
     # Cholesky reads one triangle of the symmetric M; M.T is M's own storage
     # in Fortran order, so LAPACK factors it in place
     L, info = dpotrf(M.T, lower=1, clean=0, overwrite_a=1)
@@ -227,6 +257,14 @@ def _ladder(kern: CDKernel, f: TestFunction, m: int | None, terms: Sequence) -> 
     concentration_mass and for every call given m.  The half-size rung only
     certifies the base rule; no term returns its value.
 
+    A variance given m on the mu-Gauss rule reads the rule's Gram square Q
+    (_gram_square) when m <= n^2 and m^2 <= _GRAM_DOUBLES: then one m x m
+    matvec f^T Q f costs no more than the m x n x n product S^T diag(f) S it
+    replaces, and Q is at most 8 MB.  Elsewhere, on every ladder and on window
+    rules, the variance takes the product.  The choice reads only m, n and
+    f's window, never the cache's contents, so a fresh kernel and a warm one
+    return the same bits.
+
     A term that reaches the cap returns its value on that rung, converged or
     not: exact_variance of functions.get("step") on the Chebyshev kernel at
     n = 50 climbs to the cap 16n + 1024 and returns 0.3417412 against
@@ -240,8 +278,11 @@ def _ladder(kern: CDKernel, f: TestFunction, m: int | None, terms: Sequence) -> 
         size, cap = 2 * n + _M_BASE, _M_CAP_FACTOR * n + _M_CAP_BASE
     else:
         size, cap = 0.5, _M_CAP_FACTOR   # the base panel count's multiplier
+    gram = False
     if m is not None:
         size = cap = m if win is None else 1
+        gram = (win is None and "variance" in terms
+                and m <= n * n and m * m <= _GRAM_DOUBLES)
     vals = [None] * len(terms)   # each term's value on the last rung it reached
     todo = range(len(terms))
     while todo:
@@ -250,10 +291,11 @@ def _ladder(kern: CDKernel, f: TestFunction, m: int | None, terms: Sequence) -> 
         else:
             nodes, S, kd = _window_rule(kern, win[0], win[1], f.discontinuities, size)
         fv = f(nodes)
+        Q = _gram_square(kern, size, S) if gram else None
         left = []
         for i in todo:
             last = vals[i]
-            vals[i] = val = _term(terms[i], fv, S, kd)
+            vals[i] = val = _term(terms[i], fv, S, kd, win is None, Q)
             if size < cap and (last is None
                                or not abs(val - last) / (1.0 + abs(val)) <= _REFINE_RTOL):
                 left.append(i)
@@ -279,6 +321,12 @@ def exact_variance(kern: CDKernel, f: TestFunction, m: int | None = None) -> flo
     successive rungs agree, or unconverged at its cap (see _ladder: about
     2e-4 relative for a step at n = 50); tests check the result against the
     Jacobi-matrix moments of polynomial f.
+
+    Given m <= min(n^2, 1024) and no window for f, the cross term is f^T Q f
+    on the m-point mu-Gauss rule instead, with its m x m Gram square Q cached
+    on the kernel: O(m^2) per call in a sweep of many f at one m.  Which form
+    runs depends on m, n and f's window alone (see _ladder), never on the
+    cache.
     """
     return _ladder(kern, f, m, ("variance",))[0]
 
@@ -293,14 +341,17 @@ def log_mgf(kern: CDKernel, f: TestFunction, t: float, m: int | None = None) -> 
 
     On a rule with sqrt-weight-scaled design S the determinant is that of the
     n x n matrix M = I + S^T diag(e^{tf} - 1) S = (I - S^T S) + S^T diag(e^{tf}) S.
-    The first summand is positive semidefinite: S^T S = I on a mu-Gauss
-    rule, and on a window rule it approximates int_window p p^T dmu <= I.  The
-    second is positive definite, as S has rank n.  So M is symmetric
-    positive definite and log det M = 2 sum_j log L_jj for its Cholesky
-    factor L.  A factorization that fails (M singular, as for a constant f
-    with e^{tf} - 1 = -1 in floating point, or indefinite by rounding)
-    raises NumericalError, as does a log-determinant that is not finite
-    (e^{tf} overflows once t f exceeds about 709).
+    On a mu-Gauss rule S^T S = I, so M = S^T diag(e^{tf}) S is formed
+    directly: the constant f = 1 on CDKernel(chebyshev(), 4) at t = -20
+    gives -80.0, where I + S^T diag(e^{tf} - 1) S lost 5e-7 to I - S^T S.
+    On a window rule S^T S approximates int_window p p^T dmu <= I, and M
+    keeps the first form.  Either way M is a positive semidefinite matrix
+    plus the positive definite S^T diag(e^{tf}) S (S has rank n), so M is
+    symmetric positive definite and log det M = 2 sum_j log L_jj for its
+    Cholesky factor L.  A factorization that fails (M singular, as when
+    e^{tf} underflows to 0, or indefinite by rounding) raises
+    NumericalError, as does a log-determinant that is not finite (e^{tf}
+    overflows once t f exceeds about 709).
     """
     return _ladder(kern, f, m, (t,))[0]
 

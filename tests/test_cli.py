@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +181,16 @@ class TestMainEntry:
         assert manifest["constant_A"] == pytest.approx(7818.9766, abs=1e-3)
         assert set(manifest["outputs"]) == {"stats.csv"}
         assert "stats" in manifest["wall_clock_s"]
+
+    def test_manifest_records_the_toolchain(self, tmp_path):
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert cli.main(["stats", "--config", path, "--out", str(out)]) == 0
+        tc = json.loads((out / "manifest.json").read_text())["toolchain"]
+        assert tc == cli.toolchain()
+        assert tc["numpy"] == np.__version__ and tc["scipy"] == scipy.__version__
+        assert tc["python"] == platform.python_version()
+        assert set(tc) == {"python", "numpy", "numpy_blas", "scipy", "scipy_blas"}
 
     def test_stats_values(self, tmp_path):
         # identity on the symmetric Chebyshev weight: zero mean, variance b_n^2

@@ -337,11 +337,20 @@ class TestCholeskyLogDet:
             assert abs(log_mgf(kern, bump, t, m) - self._slogdet(wS, bump(wnodes), t)) <= 1e-12
 
     def test_singular_matrix_raises(self):
-        # e^{-200} - 1 is exactly -1, so M = I - S^T S = 0 on the mu-Gauss rule
+        # e^{-200} - 1 is exactly -1, but the mu-Gauss rule's M is
+        # e^{-200} S^T S, not I - S^T S = 0; e^{-800} underflows to 0
         kern = CDKernel(measures.chebyshev(), 5)
         assert math.expm1(-200.0) == -1.0
+        assert log_mgf(kern, ONE, -200.0) == pytest.approx(-1000.0, rel=1e-12)
+        assert math.exp(-800.0) == 0.0
         with pytest.raises(NumericalError):
-            log_mgf(kern, ONE, -200.0)
+            log_mgf(kern, ONE, -800.0)
+
+    @pytest.mark.parametrize("family", sorted(_JOINT_FAMILIES))
+    def test_small_e_tf_keeps_its_digits(self, family):
+        # I + S^T diag(e^{tf} - 1) S gave -79.99999948763033 on Chebyshev
+        kern = CDKernel(_JOINT_FAMILIES[family](4), 4)
+        assert log_mgf(kern, ONE, -20.0) == pytest.approx(-80.0, rel=1e-12)
 
 
 class TestClippedPolynomial:
@@ -394,6 +403,79 @@ class TestRuleCache:
         del kern   # freed at once, with no cycle left for the collector
         assert all(ref() is None for ref in held)
         assert exact_variance(CDKernel(mu, 10), SQUARE) == var
+
+
+def _gemm_variance(kern, f, m):
+    """The two-term variance on the rule that m selects (the m-point mu-Gauss
+    rule, or f's base window panels) by the product S^T diag(f) S."""
+    win = linstat._window_for(kern, f)
+    if win is None:
+        nodes, S, kd = linstat._global_rule(kern, m)
+    else:
+        nodes, S, kd = linstat._window_rule(kern, win[0], win[1], f.discontinuities, 1)
+    fv = f(nodes)
+    F = S.T @ (fv[:, None] * S)
+    return float((fv * fv * kd).sum() - (F * F).sum())
+
+
+class TestGramSquare:
+    """A variance given m reads the cross term off the rule's Gram square."""
+
+    @pytest.mark.parametrize("family", sorted(_JOINT_FAMILIES))
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    def test_matches_the_product_form(self, family, n):
+        kern = CDKernel(_JOINT_FAMILIES[family](n), n)
+        for m in (2 * n + 64, 4 * n + 128):
+            for f in functions.bounded_suite(10) + [functions.get("cosine"), SQUARE]:
+                v = exact_variance(kern, f, m)
+                assert abs(v - _gemm_variance(kern, f, m)) <= 1e-12 * (1.0 + abs(v))
+            assert ("gram", m) in kern.cache
+
+    @pytest.mark.parametrize("family", sorted(_JOINT_FAMILIES))
+    @pytest.mark.parametrize("n", [20, 50, 200, 400])
+    def test_square_matches_the_jacobi_matrix(self, family, n):
+        # Var X_{x^2} = sum_{j<n<=l} (J^2)_jl^2 for J truncated at n + 2
+        kern = CDKernel(_JOINT_FAMILIES[family](n), n)
+        co = kern.measure.recurrence(n + 2)
+        J = np.diag(co.diag) + np.diag(co.offdiag[:-1], 1) + np.diag(co.offdiag[:-1], -1)
+        m = 2 * n + 64
+        want = np.sum((J @ J)[:n, n:] ** 2)
+        assert exact_variance(kern, SQUARE, m) == pytest.approx(want, rel=1e-12)
+        assert ("gram", m) in kern.cache
+
+    @pytest.mark.parametrize("family", ["chebyshev", "legendre"])
+    def test_fresh_equals_warm_in_either_order(self, family):
+        n, m = 50, 164
+        mu = _JOINT_FAMILIES[family](n)
+        fs = functions.bounded_suite(1) + [SQUARE, functions.get("cosine")]
+        fresh = [(exact_variance(CDKernel(mu, n), f), exact_variance(CDKernel(mu, n), f, m),
+                  linstat._ladder(CDKernel(mu, n), f, m, (0.2, "mean", "variance")))
+                 for f in fs]
+        ladder_first, given_first = CDKernel(mu, n), CDKernel(mu, n)
+        for f, (lad, fixed, joint) in zip(fs, fresh):
+            assert exact_variance(ladder_first, f) == lad
+            assert exact_variance(ladder_first, f, m) == fixed
+            assert exact_variance(given_first, f, m) == fixed
+            assert exact_variance(given_first, f) == lad
+            assert linstat._ladder(given_first, f, m, (0.2, "mean", "variance")) == joint
+            assert joint[2] == fixed
+
+    @pytest.mark.parametrize("n, m, f", [(5, 74, SQUARE), (40, 1100, SQUARE),
+                                         (50, 164, WINDOWED_STEP)])
+    def test_small_rank_large_rule_and_window_take_the_product(self, n, m, f):
+        # m > n^2, m^2 over _GRAM_DOUBLES, and a window rule
+        kern = CDKernel(measures.chebyshev(), n)
+        v = exact_variance(kern, f, m)
+        assert not any(key[0] == "gram" for key in kern.cache)
+        assert v == _gemm_variance(kern, f, m)
+
+    def test_dropping_the_kernel_frees_the_gram_square(self):
+        kern = CDKernel(measures.legendre(), 10)
+        var = exact_variance(kern, SQUARE, 84)
+        held = weakref.ref(kern.cache[("gram", 84)])
+        del kern
+        assert held() is None
+        assert exact_variance(CDKernel(measures.legendre(), 10), SQUARE, 84) == var
 
 
 def _moments_on(P, w, fv):
