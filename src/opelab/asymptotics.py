@@ -87,12 +87,12 @@ def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
     """The cached rule resolving both f and the degree-(2n-2) kernel square:
     the base panels of f's finite support, split at its discontinuities, or
     else the m-point mu-Gauss rule (4n + 128 by default, the moments' second
-    rung).  A continuous f whose support covers a compact support takes the
-    mu-Gauss rule too: it integrates a Jacobi end weight exactly, where theta
-    panels near a singular end stall at errors of 3e-6."""
-    mu, win = kern.measure, f.support
-    covers = (mu.compact and win is not None and not f.discontinuities
-              and win[0] <= mu.support[0] and mu.support[1] <= win[1])
+    rung).  A continuous f whose support covers the coordinate's x-range
+    (Coordinate.x_range) takes the mu-Gauss rule too: it integrates a Jacobi
+    end weight exactly, where theta panels near a singular end stall at
+    errors of 3e-6."""
+    win, (lo, hi) = f.support, kern.measure.coordinate(kern.n).x_range()
+    covers = win is not None and not f.discontinuities and win[0] <= lo and hi <= win[1]
     if win is not None and all(math.isfinite(v) for v in win) and not covers:
         return _window_rule(kern, *win, f.discontinuities, 1)
     size = m if m is not None else 2 * (2 * kern.n + _M_BASE)   # the ladder's second rung
@@ -135,12 +135,14 @@ def alpha_nevai_functional(kern: CDKernel, f: TestFunction, alpha: float, xstar:
 
 
 def concentration_mass(kern: CDKernel, xstar: float, delta: float) -> float:
-    """Mass of K_n(x*,y)^2 dmu(y) / K_n(x*,x*) within |y - x*| < delta."""
+    """Mass of K_n(x*,y)^2 dmu(y) / K_n(x*,x*) within |y - x*| < delta: 1.0
+    by the reproducing property int K(x*,y)^2 dmu = K(x*,x*) if the window
+    covers the coordinate's x-range (Coordinate.x_range), past which the mass
+    of mu is below double precision."""
     if delta <= 0.0:
         raise PreconditionError("delta must be positive")
-    lo, hi = kern.measure.support
-    if kern.measure.compact and xstar - delta <= lo and xstar + delta >= hi:
-        # full support: the reproducing property int K(x*,y)^2 dmu = K(x*,x*)
+    lo, hi = kern.measure.coordinate(kern.n).x_range()
+    if xstar - delta <= lo and xstar + delta >= hi:
         return 1.0
     rule = _window_rule(kern, xstar - delta, xstar + delta, (), 1)
     return float(_nu_average(kern, xstar, rule, np.ones_like)[0])

@@ -8,7 +8,6 @@ confidence intervals) are compared against the analytic bounds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -84,19 +83,6 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
     asymptotic: bool = False
     log_rhs: float = 0.0  # log(2) - exponent; exact even when rhs underflows
-
-    def to_json(self) -> str:
-        payload = {
-            "bound_name": self.bound_name,
-            "epsilon": self.epsilon,
-            "rhs": self.rhs,
-            "log_rhs": self.log_rhs,
-            "regime": self.regime,
-            "inputs": self.inputs,
-            "asymptotic": self.asymptotic,
-            "constant_A": constant_A().value,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _two_regime(name, eps, gauss_exp, exp_exp, inputs, asymptotic=False) -> BoundReport:

@@ -63,7 +63,6 @@ class ExperimentConfig:
     measure: Measure
     n_grid: list
     statistic: ScaledStatistic
-    f_spec: object
     replicas: int = 1
     seed: int = 0
     epsilons: list = field(default_factory=lambda: [0.1, 0.3])
@@ -90,8 +89,7 @@ class ExperimentConfig:
             raise ConfigurationError("n_grid must be nonempty and strictly increasing")
         stat_raw = _section(raw, "statistic",
                             {"f": "identity", "alpha": 0.0, "xstar": 0.0}, dict)
-        f_spec = stat_raw.get("f", "identity")
-        f = from_spec(f_spec)
+        f = from_spec(stat_raw.get("f", "identity"))
         alpha = config_number(stat_raw.get("alpha", 0.0), "statistic.alpha")
         if not (0.0 <= alpha < 1.0):
             raise ConfigurationError("statistic.alpha must lie in [0, 1)")
@@ -132,8 +130,8 @@ class ExperimentConfig:
         if experiment in ("sample", "bounds"):
             # bounds draws its Monte Carlo replicas with HKPV whatever the method
             check_sampleable(measure, method if experiment == "sample" else "hkpv")
-        return cls(experiment, measure, n_grid, statistic, f_spec, replicas,
-                   seed, eps, normalization, method, raw)
+        return cls(experiment, measure, n_grid, statistic, replicas, seed, eps,
+                   normalization, method, raw)
 
 
 def _load_config(path: str) -> ExperimentConfig:

@@ -34,14 +34,13 @@ class CDKernel:
 
     measure: Measure
     n: int
-    coeffs: RecurrenceCoefficients = field(default=None)
+    coeffs: RecurrenceCoefficients = field(init=False)
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise PreconditionError("kernel rank n must be >= 1")
-        if self.coeffs is None or self.coeffs.depth < self.n + 1:
-            self.coeffs = self.measure.recurrence(self.n + 1)
+        self.coeffs = self.measure.recurrence(self.n + 1)
 
     def cached(self, key, build):
         """The value cached under key, from build() on a miss.  The cache
@@ -134,15 +133,13 @@ def kernel_tilde(kern: CDKernel, x, y) -> np.ndarray | float:
 
 def _rescaled(kern: CDKernel, x: float, s) -> tuple[float, np.ndarray]:
     """Kt(x, x) and the points x + s / Kt(x, x), with Kt the weighted kernel;
-    DomainError if Kt(x, x) vanishes or a point leaves the x-range of the
-    measure's coordinate: its support if compact, on the line the span past
-    which its mass is far below double precision and Kt underflows."""
+    DomainError if Kt(x, x) vanishes or a point leaves the coordinate's
+    x-range (Coordinate.x_range), past which Kt underflows on the line."""
     k0 = float(kernel_tilde(kern, x, x))
     if k0 <= 0.0:
         raise DomainError(f"weighted kernel vanishes on the diagonal at x={x}")
     z = x + np.asarray(s, dtype=float) / k0
-    co = kern.measure.coordinate(kern.n)
-    lo, hi = sorted(co.to_x(np.array([co.lo, co.hi])))
+    lo, hi = kern.measure.coordinate(kern.n).x_range()
     if not np.all((lo <= z) & (z <= hi)):
         raise DomainError("rescaled argument left the support of the measure")
     return k0, z

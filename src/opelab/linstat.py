@@ -179,21 +179,20 @@ def _window_rule(kern: CDKernel, lo: float, hi: float, breaks: Sequence[float], 
 
 def _window_for(kern: CDKernel, f: TestFunction):
     """f's finite support as the span of a window rule, or None for the
-    mu-Gauss rule.  On a compact support a window that comes within 2 % of an
-    end, or is wider than 60 % of the support, also takes the mu-Gauss rule:
-    that rule integrates a Jacobi end weight exactly, whereas theta panels
-    with jacobi(0.5, -0.3) stall at errors of 4e-7 that the ladder takes for
-    convergence."""
+    mu-Gauss rule.  A window that comes within 2 % of an end of the
+    coordinate's x-range (Coordinate.x_range), or is wider than 60 % of it,
+    also takes the mu-Gauss rule: that rule integrates a Jacobi end weight
+    exactly, whereas theta panels with jacobi(0.5, -0.3) stall at errors of
+    4e-7 that the ladder takes for convergence."""
     if f.support is None:
         return None
     wlo, whi = f.support
     if not (math.isfinite(wlo) and math.isfinite(whi)) or whi <= wlo:
         return None
-    if kern.measure.compact:
-        lo, hi = kern.measure.support
-        margin = 0.02 * (hi - lo)
-        if wlo < lo + margin or whi > hi - margin or whi - wlo > 0.6 * (hi - lo):
-            return None
+    lo, hi = kern.measure.coordinate(kern.n).x_range()
+    margin = 0.02 * (hi - lo)
+    if wlo < lo + margin or whi > hi - margin or whi - wlo > 0.6 * (hi - lo):
+        return None
     return (wlo, whi)
 
 

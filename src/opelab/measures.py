@@ -269,10 +269,6 @@ class Measure:
         except KeyError:
             raise ConfigurationError(f"unknown family {self.family!r}") from None
 
-    @property
-    def compact(self) -> bool:
-        return math.isfinite(self.support[0]) and math.isfinite(self.support[1])
-
     # -- weight density -----------------------------------------------------
 
     def weight(self, x) -> np.ndarray:
@@ -406,6 +402,12 @@ class Coordinate:
     to_x: Callable
     to_u: Callable
     density: Callable
+
+    def x_range(self) -> tuple[float, float]:
+        """The ascending x-interval that [lo, hi] maps onto: the support of a
+        compact measure, on the line the span past which its mass is far
+        below double precision."""
+        return tuple(sorted(float(x) for x in self.to_x(np.array([self.lo, self.hi]))))
 
 
 def _theta_coordinate(mu: Measure, n: int) -> Coordinate:

@@ -41,8 +41,8 @@ def _square_nevai_closed_form(kern, x, c=None):
 
 
 def _bulk_edge(mu, n):
-    """Half-width of the bulk of the rank-n kernel."""
-    return 1.0 if mu.compact else asymptotics.semicircle_density(mu, n).support[1]
+    """Half-width of the bulk of the rank-n kernel: that of its equilibrium law."""
+    return mu.equilibrium(n).support[1]
 
 
 class TestSineKernel:
@@ -206,6 +206,13 @@ class TestConcentrationMass:
         kern = CDKernel(measures.chebyshev(), 50)
         assert asymptotics.concentration_mass(kern, 0.0, 2.5) == pytest.approx(
             1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [200, 400, 800])
+    def test_whole_line_is_one(self, n):
+        """A window covering the cut of the line coordinate holds all the mass
+        there is in double precision: the reproducing property gives 1."""
+        kern = CDKernel(measures.varying_gaussian(16), n)
+        assert asymptotics.concentration_mass(kern, 0.0, 100.0) == 1.0
 
     @pytest.mark.parametrize("xstar", [-0.5, -0.8])
     def test_window_to_tiny_weight_edge_is_one(self, xstar):

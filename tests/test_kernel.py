@@ -183,10 +183,10 @@ def _nu_mean(kern, x, rule, g):
 
 def _nevai_reference_rule(kern, f):
     """The rule of asymptotics._nevai_rule, built from its primitives: a
-    continuous f covering a compact support takes the mu-Gauss rule."""
-    mu = kern.measure
-    covers = (f.support is not None and mu.compact and not f.discontinuities
-              and f.support[0] <= mu.support[0] and mu.support[1] <= f.support[1])
+    continuous f covering the coordinate's x-range takes the mu-Gauss rule."""
+    lo, hi = kern.measure.coordinate(kern.n).x_range()
+    covers = (f.support is not None and not f.discontinuities
+              and f.support[0] <= lo and hi <= f.support[1])
     if f.support is not None and not covers:
         return _panel_design(kern, *f.support, f.discontinuities)
     return _global_rule(kern, 4 * kern.n + 128)[:2]
@@ -215,7 +215,8 @@ class TestOnePassPerCall:
 
     @staticmethod
     def _scale(kern):
-        return 1.0 if kern.measure.compact else 0.5
+        # 1 on [-1, 1]; 1/2 on the line, whose bulk at rank n = N is [-2, 2]
+        return 1.0 / kern.measure.equilibrium(kern.n).support[1]
 
     def test_kernel_functions(self, kern, monkeypatch):
         c = self._scale(kern)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, ndtr
 
-from opelab import functions, linstat, measures
+from opelab import asymptotics, functions, linstat, measures
 from opelab.errors import NumericalError, PreconditionError
 from opelab.kernel import _CACHE_SIZE, CDKernel
 from opelab.linstat import (
@@ -599,6 +599,32 @@ class TestSharedCoordinate:
         nodes, _ = linstat._panel_rule(kern, *mu.support, 1)
         xlo, xhi = sorted(co.to_x(np.array([co.lo, co.hi])))
         assert np.all((xlo <= nodes) & (nodes <= xhi))
+
+
+class TestLineRoutesByCut:
+    """On the line, _window_for measures a window against the coordinate's
+    x-range, the cut 2 sqrt(n/N) + 10/sqrt(N), so a scaled bump that reaches
+    within 2 % of it, or spans 60 % of it, takes the mu-Gauss ladder; its
+    moments and Nevai integral keep the values of explicit panels."""
+
+    @pytest.mark.parametrize("big_n,n,alpha,xstar", [(400, 4, 0.5, 0.0), (400, 4, 0.5, 0.3),
+                                                     (100, 2, 0.3, 0.1)])
+    def test_rerouted_values(self, big_n, n, alpha, xstar):
+        kern = CDKernel(measures.varying_gaussian(big_n), n)
+        ft = scaled_function(ScaledStatistic(BUMP, alpha, xstar), n)
+        assert linstat._window_for(kern, ft) is None
+        panels = CDKernel(kern.measure, n)   # a second cache: no rule is shared
+        nodes, S, kd = linstat._window_rule(panels, *ft.support, (), 4)
+        fv = ft(nodes)
+        F = S.T @ (fv[:, None] * S)
+        nodes, S, _ = linstat._window_rule(panels, *BUMP.support, (), 4)
+        p = kern.design([xstar])[0]
+        nevai = float(np.square(S @ p) @ BUMP(nodes) / (p @ p) - BUMP(xstar))
+        pairs = [(exact_mean(kern, ft), float(fv @ kd)),
+                 (exact_variance(kern, ft), float((fv * fv) @ kd - (F * F).sum())),
+                 (asymptotics.nevai_integral(kern, BUMP, xstar), nevai)]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
 def _window_reference(kern, f, win, ts, refine=8, block=4096):

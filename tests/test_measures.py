@@ -246,9 +246,23 @@ class TestMeasureObject:
         assert np.all(np.isfinite(lw))
         assert mu.weight(np.array([5.0]))[0] == 0.0  # underflows in linear space
 
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    def test_x_range(self, n):
+        """The support on a compact family, bit for bit; on the line the cut
+        2 sqrt(n/N) + 10/sqrt(N) past which the mass is below double precision."""
+        for mu in _table_examples():
+            got = mu.coordinate(n).x_range()
+            if mu.family == "varying_gaussian":
+                big_n = mu.params["n"]
+                cut = 2.0 * math.sqrt(n / big_n) + 10.0 / math.sqrt(big_n)
+                assert got == (-cut, cut)
+            else:
+                assert got == mu.support
+            assert all(type(v) is float for v in got)
+
     def test_theta_density(self):
         theta = np.linspace(0.05, math.pi - 0.05, 41)
-        compact = [mu for mu in _table_examples() if mu.compact]
+        compact = [mu for mu in _table_examples() if mu.coordinate(10).x_range() == mu.support]
         assert {mu.family for mu in compact} == {"chebyshev1st", "legendre", "jacobi"}
         for mu in compact + [measures.jacobi(0.5, 1.5), measures.jacobi(-0.5, 0.25)]:
             lo, hi = mu.support

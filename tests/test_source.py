@@ -10,10 +10,12 @@ linstat.py no module may call a Gauss-Legendre panel primitive or
 _panel_rule itself: every rule is built in linstat, around the kernel's
 cache.  Outside measures.py no module may call theta_density, acos or
 arccos: the theta coordinate is the compact families' Coordinate.
-cli.py and sampler.py read no measure's shape (.compact) at all: the
-equilibrium law and the matrix model are entries of the table too, and no
-module names the Gaussian special case gaussian_n that the matrix model
-replaced.
+No module reads a measure's shape (.compact): a rule that needs the
+x-interval mu fills at rank n reads the coordinate's x-range
+(Coordinate.x_range), the support of a compact measure and the cut of the
+line alike.  The equilibrium law and the matrix model are entries of the
+table too, and no module names the Gaussian special case gaussian_n that
+the matrix model replaced.
 """
 
 import ast
@@ -89,18 +91,12 @@ def test_no_theta_coordinate_outside_measures(path):
     assert calls == []
 
 
-def _shape_reads(path):
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_shape_read(path):
     tree = ast.parse((SRC / path).read_text())
-    return [f"{path}:{node.lineno}: .compact read" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "compact"]
-
-
-def test_sampler_reads_no_shape():
-    assert _shape_reads("sampler.py") == []
-
-
-def test_cli_reads_no_shape():
-    assert _shape_reads("cli.py") == []
+    reads = [f"{path}:{node.lineno}: .compact read" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "compact"]
+    assert reads == []
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
