@@ -83,11 +83,11 @@ def _nu_average(kern: CDKernel, x, rule, g: Callable) -> np.ndarray:
     return np.square(p @ S.T) @ g(nodes) / kxx
 
 
-def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
+def _nevai_rule(kern: CDKernel, f: TestFunction):
     """The cached rule resolving both f and the degree-(2n-2) kernel square:
     the base panels of f's finite support, split at its discontinuities, or
-    else the m-point mu-Gauss rule (4n + 128 by default, the moments' second
-    rung).  A continuous f whose support covers the coordinate's x-range
+    else the (4n + 128)-point mu-Gauss rule, the moments' second rung.  A
+    continuous f whose support covers the coordinate's x-range
     (Coordinate.x_range) takes the mu-Gauss rule too: it integrates a Jacobi
     end weight exactly, where theta panels near a singular end stall at
     errors of 3e-6."""
@@ -95,15 +95,12 @@ def _nevai_rule(kern: CDKernel, f: TestFunction, m: int | None):
     covers = win is not None and not f.discontinuities and win[0] <= lo and hi <= win[1]
     if win is not None and all(math.isfinite(v) for v in win) and not covers:
         return _window_rule(kern, *win, f.discontinuities, 1)
-    size = m if m is not None else 2 * (2 * kern.n + _M_BASE)   # the ladder's second rung
-    if size < kern.n:
-        raise PreconditionError(f"quadrature size {size} below rank {kern.n}")
-    return _global_rule(kern, size)
+    return _global_rule(kern, 2 * (2 * kern.n + _M_BASE))   # the ladder's second rung
 
 
-def nevai_integral(kern: CDKernel, f: TestFunction, x: float, m: int | None = None) -> float:
+def nevai_integral(kern: CDKernel, f: TestFunction, x: float) -> float:
     """int (f(y) - f(x)) K_n(x,y)^2 / K_n(x,x) dmu(y)."""
-    return float(_nu_average(kern, x, _nevai_rule(kern, f, m), f)[0] - f(x))
+    return float(_nu_average(kern, x, _nevai_rule(kern, f), f)[0] - f(x))
 
 
 def _nevai_points(support: tuple[float, float], alpha: float, xstar: float, n: int,
@@ -120,8 +117,7 @@ def _nevai_points(support: tuple[float, float], alpha: float, xstar: float, n: i
 
 
 def alpha_nevai_functional(kern: CDKernel, f: TestFunction, alpha: float, xstar: float,
-                           s_grid: Optional[Sequence[float]] = None,
-                           m: int | None = None) -> float:
+                           s_grid: Optional[Sequence[float]] = None) -> float:
     """sup_s |int (f(s) - f(n^a(y-x*))) K(x_s,y)^2 / K(x_s,x_s) dmu(y)|,
     where x_s = x* + s/n^a, all s in one batch, over the whole support: the
     f(s) term carries the unit mass of nu_{x_s}.  DomainError if an x_s
@@ -130,7 +126,7 @@ def alpha_nevai_functional(kern: CDKernel, f: TestFunction, alpha: float, xstar:
         raise PreconditionError("alpha must lie in [0, 1)")
     s, xs = _nevai_points(kern.measure.support, alpha, xstar, kern.n, s_grid)
     ft = scaled_function(ScaledStatistic(f, alpha, xstar), kern.n)
-    vals = f(s) - _nu_average(kern, xs, _nevai_rule(kern, ft, m), ft)
+    vals = f(s) - _nu_average(kern, xs, _nevai_rule(kern, ft), ft)
     return float(np.max(np.abs(vals), initial=0.0))
 
 

@@ -110,8 +110,7 @@ def eval_scaled_statistic(sample, s: ScaledStatistic, n: int) -> float:
     """X_{f,alpha,x*} evaluated on a sample of the size-n ensemble."""
     if n != sample.n:
         raise PreconditionError(f"sample has n={sample.n}, statistic expects n={n}")
-    scale = float(n) ** s.alpha
-    return float(np.sum(s.f(scale * (sample.points - s.xstar))))
+    return eval_statistic(sample, scaled_function(s, n))
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +178,20 @@ def _window_rule(kern: CDKernel, lo: float, hi: float, breaks: Sequence[float], 
 
 def _window_for(kern: CDKernel, f: TestFunction):
     """f's finite support as the span of a window rule, or None for the
-    mu-Gauss rule.  A window that comes within 2 % of an end of the
-    coordinate's x-range (Coordinate.x_range), or is wider than 60 % of it,
-    also takes the mu-Gauss rule: that rule integrates a Jacobi end weight
-    exactly, whereas theta panels with jacobi(0.5, -0.3) stall at errors of
-    4e-7 that the ladder takes for convergence."""
+    mu-Gauss rule.  A window that contains an end of the coordinate's x-range
+    (Coordinate.x_range), or spans more than 60 % of it, takes the mu-Gauss
+    rule, which integrates a Jacobi end weight inside the window exactly,
+    whereas theta panels over it with jacobi(0.5, -0.3) stall at errors of
+    4e-7 that the ladder takes for convergence.  A window that stops short of
+    an end keeps its panels, however close it comes: a mu-Gauss rule is exact
+    for a polynomial times the weight but cannot see where f stops."""
     if f.support is None:
         return None
     wlo, whi = f.support
     if not (math.isfinite(wlo) and math.isfinite(whi)) or whi <= wlo:
         return None
     lo, hi = kern.measure.coordinate(kern.n).x_range()
-    margin = 0.02 * (hi - lo)
-    if wlo < lo + margin or whi > hi - margin or whi - wlo > 0.6 * (hi - lo):
+    if wlo <= lo or whi >= hi or whi - wlo > 0.6 * (hi - lo):
         return None
     return (wlo, whi)
 

@@ -257,9 +257,7 @@ class Measure:
     params: dict
     support: tuple[float, float]
 
-    # The family's coefficients to the deepest depth asked for so far, and
-    # the RecurrenceCoefficients handed out, one per depth (see recurrence).
-    _deepest: RecurrenceCoefficients = field(default=None, repr=False, compare=False)
+    # The RecurrenceCoefficients handed out, one per depth (see recurrence).
     _store: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -300,17 +298,13 @@ class Measure:
         CDKernel, Gauss rule and density of this measure at that depth shares
         it, and with it the step tuples of orthonormal_prefix.  The store
         keeps the _RECURRENCE_STORE newest depths, evicting the oldest first;
-        a slice of the deepest coefficients rebuilds an evicted one with the
-        same values."""
+        the family's closed form rebuilds an evicted one with the same values
+        (see Family)."""
         if depth < 1:
             raise PreconditionError("depth must be >= 1")
         coeffs = self._store.get(depth)
         if coeffs is None:
-            deepest = self._deepest
-            if deepest is None or deepest.depth < depth:
-                deepest = self._deepest = self.spec.recurrence(self, max(depth, 16))
-            coeffs = deepest if deepest.depth == depth else RecurrenceCoefficients(
-                deepest.diag[:depth], deepest.offdiag[:depth])
+            coeffs = self.spec.recurrence(self, depth)
             if len(self._store) >= _RECURRENCE_STORE:
                 del self._store[next(iter(self._store))]
             self._store[depth] = coeffs
@@ -504,6 +498,12 @@ class Family:
     and pi.  rule is a closed-form Gauss rule (m, ncols) -> (nodes, weights, S)
     like gauss_quadrature_scaled.  check_hkpv raises ConfigurationError where
     the family's coordinate leaves the density unbounded.
+
+    recurrence(mu, depth) gives each coefficient as a function of its index
+    alone, so the first k coefficients of any depth are those of depth k bit
+    for bit: Measure.recurrence builds each depth afresh and relies on this.
+    A new entry keeps it, for instance by computing every coefficient
+    elementwise from its index with no running sum or product.
     """
 
     factory: Callable
